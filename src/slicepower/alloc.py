@@ -54,23 +54,20 @@ class Algorithm:
 class BcdOptions:
     """Descent controls.
 
-    ``mu0`` is the initial step [mW]; when ``None`` it defaults to
-    ``mu0_fraction`` of the mean starting power.  The step halves after
-    any sweep that changes nothing and the loop stops at ``tau``.
+    The initial step [mW] is ``mu0_fraction`` of the mean starting power.
+    The step halves after any sweep that changes nothing and the loop
+    stops at ``tau``.
     A move is accepted only when the frozen-draw estimate plus its
     confidence half-width stays at or below the outage target, so the
     final point is feasible with margin rather than by luck.
     """
 
-    mu0: float | None = None
     mu0_fraction: float = 0.1
     tau: float = 1e-7
     draws: int = 10**6
     use_margin: bool = True
 
     def initial_step(self, p_init: np.ndarray) -> float:
-        if self.mu0 is not None:
-            return self.mu0
         return self.mu0_fraction * float(np.mean(p_init))
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "Geometry",
     "ChannelState",
     "sample_snr",
+    "drop",
     "distance_from_mean_snr",
     "mean_snr_from_distance",
 ]
@@ -57,18 +58,14 @@ class ChannelState:
     """
 
     gamma_e: np.ndarray
-    Gamma_e: float
     Gamma_u: float
-    sigma2: float
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_e", np.asarray(self.gamma_e, dtype=float))
         if np.any(self.gamma_e < 0.0):
             raise ValueError("instantaneous SNRs must be non-negative")
-        if self.Gamma_e <= 0.0 or self.Gamma_u <= 0.0:
-            raise ValueError("mean SNRs must be positive")
-        if self.sigma2 <= 0.0:
-            raise ValueError("noise power must be positive")
+        if self.Gamma_u <= 0.0:
+            raise ValueError("mean SNR must be positive")
 
 
 def sample_snr(mean: float, count: int, rng) -> np.ndarray:
@@ -77,9 +74,20 @@ def sample_snr(mean: float, count: int, rng) -> np.ndarray:
     ``rng`` is either a seed (int) or a numpy Generator; passing a seed
     gives a fresh deterministic stream.
     """
+    if mean <= 0.0 or count < 1:
+        raise ValueError(f"need mean > 0 and count >= 1, got mean={mean}, count={count}")
     if not isinstance(rng, np.random.Generator):
         rng = rngmod.substream(int(rng), "sample_snr")
-    return rngmod.exponential(mean, count, rng)
+    return mean * rng.standard_exponential(count)
+
+
+def drop(seed: int, index: int, gamma_e_mean: float, gamma_u_mean: float,
+         f_count: int) -> ChannelState:
+    """Fading drop ``index``: ``f_count`` broadband gains around ``gamma_e_mean``
+    and the URLLC mean gain, per mW.  The draw depends on ``(seed, index)``
+    only, so every scheme, algorithm and placement of a run shares it."""
+    gamma_e = sample_snr(gamma_e_mean, f_count, rngmod.substream(seed, "drop", index))
+    return ChannelState(gamma_e=gamma_e, Gamma_u=gamma_u_mean)
 
 
 def _path_gain_numerator(geom: Geometry) -> float:

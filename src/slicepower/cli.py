@@ -15,22 +15,16 @@ import sys
 
 import numpy as np
 
-from . import rng as rngmod
-from .alloc import BcdOptions, allocate
-from .channel import ChannelState, mean_snr_from_distance
-from .config import ScenarioConfig, load_config, scheme_f_u_count
+from .alloc import Algorithm, BcdOptions, allocate
+from .channel import drop
+from .config import load_config, scheme_f_u_count
 from .errors import SlicePowerError
 from .grid import spectral_efficiency
-from .sweep import run_sweep
+from .sweep import run_sweep, table_build_command
 from .table import build_table, load_table, min_feasible_power, save_table
-from .units import dbm_to_mw, dbm_to_watt, mw_to_dbm, snr_db_to_gain
+from .units import dbm_to_mw, mw_to_dbm, snr_db_to_gain
 
 __all__ = ["main"]
-
-_SUITES = (
-    "grid", "channel", "waterfill", "outage", "table",
-    "alloc", "config", "sweep", "cli", "acceptance", "all",
-)
 
 
 def _fmt_dbm_vector(values_mw) -> str:
@@ -69,41 +63,31 @@ def _cmd_table_query(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+    overrides = {k: v for k, v in vars(args).items() if v is not None
+                 and k in ("m_u", "table_trials", "crn_draws", "evidence_trials")}
+    cfg = load_config(args.config, overrides=overrides)
     grid = cfg.grid()
     traffic = cfg.traffic()
-    geom = cfg.geometry()
-    sigma2_w = dbm_to_watt(cfg.noise_dbm)
     scheme, f_u_count = scheme_f_u_count(args.scheme, grid.F)
-    m_u = args.m_u if args.m_u is not None else cfg.m_u
-    r_u = spectral_efficiency(traffic.N_u, grid, f_u_count, m_u)
-
-    gamma_e_mean = mean_snr_from_distance(args.de, geom, sigma2_w) / 1e3
-    gamma_u_mean = mean_snr_from_distance(args.du, geom, sigma2_w) / 1e3
-    channel = ChannelState(
-        gamma_e=gamma_e_mean * rngmod.substream(args.seed, "drop", 0).standard_exponential(grid.F),
-        Gamma_e=gamma_e_mean,
-        Gamma_u=gamma_u_mean,
-        sigma2=sigma2_w,
-    )
+    r_u = spectral_efficiency(traffic.N_u, grid, f_u_count, cfg.m_u)
+    channel = drop(args.seed, 0, cfg.mean_gain(args.de), cfg.mean_gain(args.du), grid.F)
 
     if args.table:
         table = load_table(args.table)
     elif args.auto_table:
-        trials = args.table_trials or cfg.table_trials
-        table = build_table(gamma_u_mean, f_u_count, r_u, trials, args.seed, m_u=m_u)
+        table = build_table(channel.Gamma_u, f_u_count, r_u, cfg.table_trials, args.seed,
+                            m_u=cfg.m_u)
     else:
         raise SlicePowerError(
-            "pass --table PATH or --auto-table; build one with\n"
-            f"  slicepower table build --gamma-u-db {10*math.log10(gamma_u_mean)+30:.4f} "
-            f"--f-u {f_u_count} --r-u {r_u:.8g} --trials {cfg.table_trials} "
-            f"--seed {args.seed} --out table.npz"
+            "pass --table PATH or --auto-table; build one with\n  "
+            + table_build_command(channel.Gamma_u, f_u_count, r_u, cfg.table_trials,
+                                  args.seed, "table.npz")
         )
 
-    bcd = BcdOptions(mu0_fraction=cfg.mu0_fraction, tau=cfg.tau, draws=args.crn_draws)
+    bcd = BcdOptions(mu0_fraction=cfg.mu0_fraction, tau=cfg.tau, draws=cfg.crn_draws)
     result = allocate(
-        grid, traffic, channel, scheme, args.algo, f_u_count, m_u, args.seed,
-        table=table, bcd=bcd, evidence_trials=args.evidence_trials,
+        grid, traffic, channel, scheme, args.algo, f_u_count, cfg.m_u, args.seed,
+        table=table, bcd=bcd, evidence_trials=cfg.evidence_trials,
     )
     print(f"scheme={args.scheme} algorithm={args.algo} d_u={args.du!r} d_e={args.de!r} "
           f"seed={args.seed}")
@@ -145,11 +129,13 @@ def _cmd_verify(args) -> int:
         print(f"error: no tests/ directory under {os.getcwd()}; "
               "run from the repository root", file=sys.stderr)
         return 2
-    if args.suite == "all":
-        target = [tests_dir]
-    else:
-        target = [os.path.join(tests_dir, f"test_{args.suite}.py")]
-    return pytest.main(["-q", *target])
+    target = tests_dir
+    if args.suite != "all":
+        target = os.path.join(tests_dir, f"test_{args.suite}.py")
+        if not os.path.isfile(target):
+            print(f"error: no test suite {target}", file=sys.stderr)
+            return 2
+    return pytest.main(["-q", target])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -184,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     alloc = sub.add_parser("allocate", help="allocate one fading drop and print it")
     alloc.add_argument("--scheme", required=True, help="'noma' or 'oma-<k>'")
-    alloc.add_argument("--algo", choices=("fea", "bcd"), required=True)
+    alloc.add_argument("--algo", choices=Algorithm.ALL, required=True)
     alloc.add_argument("--du", type=float, required=True, help="URLLC distance [m]")
     alloc.add_argument("--de", type=float, required=True, help="eMBB distance [m]")
     alloc.add_argument("--seed", type=int, required=True)
@@ -193,9 +179,10 @@ def _build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--table", default=None, help="outage table path")
     alloc.add_argument("--auto-table", action="store_true",
                        help="build the needed table in memory")
+    # --m-u and these three override the config; unset, they take its values
     alloc.add_argument("--table-trials", type=int, default=None)
-    alloc.add_argument("--crn-draws", type=int, default=10**6)
-    alloc.add_argument("--evidence-trials", type=int, default=10**6)
+    alloc.add_argument("--crn-draws", type=int, default=None)
+    alloc.add_argument("--evidence-trials", type=int, default=None)
     alloc.set_defaults(func=_cmd_allocate)
 
     swp = sub.add_parser("sweep", help="run a configured sweep and emit CSVs")
@@ -207,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a test suite")
-    ver.add_argument("--suite", choices=_SUITES, default="all")
+    ver.add_argument("--suite", default="all",
+                     help="'all', or <name> to run tests/test_<name>.py")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .channel import Geometry
+from .alloc import Algorithm
+from .channel import Geometry, mean_snr_from_distance
 from .grid import ResourceGrid, Scheme, TrafficSpec
+from .units import dbm_to_watt
 
 __all__ = ["ScenarioConfig", "scheme_f_u_count", "load_config", "dump_config"]
 
@@ -44,7 +46,7 @@ class ScenarioConfig:
     noise_dbm: float = -108.0
     # sweep definition
     schemes: tuple = ("noma", "oma-3", "oma-6", "oma-9")
-    algorithms: tuple = ("fea", "bcd")
+    algorithms: tuple = Algorithm.ALL
     # sweep axes; mean-SNR values [dB] are converted to the equivalent
     # distances and merged with the distance lists
     d_u: tuple = ()
@@ -73,6 +75,11 @@ class ScenarioConfig:
     def geometry(self) -> Geometry:
         return Geometry(G_db=self.antenna_gain_db, f0=self.carrier_hz, d0=self.d0,
                         alpha=self.path_loss_exponent, cell_radius=self.cell_radius)
+
+    def mean_gain(self, distance_m: float) -> float:
+        """Per-mW mean gain at ``distance_m``: the per-watt mean SNR / 1e3."""
+        sigma2_w = dbm_to_watt(self.noise_dbm)
+        return mean_snr_from_distance(distance_m, self.geometry(), sigma2_w) / 1e3
 
 
 def scheme_f_u_count(scheme_label: str, f_count: int) -> tuple[Scheme, int]:
@@ -136,8 +143,8 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
     for label in cfg.schemes:
         scheme_f_u_count(label, cfg.f_count)  # validate early
     for algo in cfg.algorithms:
-        if algo not in ("fea", "bcd"):
-            raise ValueError(f"unknown algorithm {algo!r} (use 'fea' or 'bcd')")
+        if algo not in Algorithm.ALL:
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
     if cfg.drops < 1:
         raise ValueError("drops must be >= 1")
     return cfg

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed_sequence", "substream", "exponential"]
+__all__ = ["derive_seed_sequence", "substream"]
 
 
 def _label_to_int(label) -> int:
@@ -40,11 +40,3 @@ def substream(base_seed: int, *labels) -> np.random.Generator:
     """Independent Philox generator for the given label path."""
     return np.random.Generator(np.random.Philox(derive_seed_sequence(base_seed, *labels)))
 
-
-def exponential(mean: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. exponential draws with the requested mean."""
-    if mean <= 0.0:
-        raise ValueError(f"exponential mean must be positive, got {mean}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    return mean * rng.standard_exponential(count)

@@ -19,14 +19,15 @@ import numpy as np
 
 from . import rng as rngmod
 from .alloc import Algorithm, BcdOptions, allocate
-from .channel import ChannelState, distance_from_mean_snr, mean_snr_from_distance
+from .channel import distance_from_mean_snr, drop
 from .config import ScenarioConfig, scheme_f_u_count
 from .errors import SlicePowerError
 from .grid import Scheme, spectral_efficiency
 from .table import OutageTable, build_table, load_table, save_table
 from .units import db_to_linear, dbm_to_watt, gain_to_snr_db, mw_to_dbm
 
-__all__ = ["SweepRecord", "table_path", "ensure_table", "run_sweep", "write_records_csv"]
+__all__ = ["SweepRecord", "table_path", "table_build_command", "ensure_table", "run_sweep",
+           "write_records_csv"]
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +65,13 @@ def table_path(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> str
     return os.path.join(cfg.table_dir, name)
 
 
+def table_build_command(gamma_u: float, f_u: int, r_u: float, trials: int, seed: int,
+                        out: str) -> str:
+    """The ``slicepower table build`` command line that writes this table."""
+    return (f"slicepower table build --gamma-u-db {gain_to_snr_db(gamma_u):.6f} --f-u {f_u} "
+            f"--r-u {r_u:.8g} --trials {trials} --seed {seed} --out {out}")
+
+
 def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> OutageTable:
     """Load the table for this need, building it first when allowed."""
     path = table_path(cfg, gamma_u, f_u, r_u)
@@ -75,9 +83,7 @@ def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> O
     if not cfg.auto_build_tables:
         raise SlicePowerError(
             f"missing outage table {path}; build it with\n"
-            f"  slicepower table build --gamma-u-db {gain_to_snr_db(gamma_u):.6f} "
-            f"--f-u {f_u} --r-u {r_u:.8g} --trials {cfg.table_trials} "
-            f"--seed {cfg.seed} --out {path}\n"
+            f"  {table_build_command(gamma_u, f_u, r_u, cfg.table_trials, cfg.seed, path)}\n"
             "or set auto_build_tables = true"
         )
     log.info("building outage table %s (trials=%d)", path, cfg.table_trials)
@@ -95,8 +101,9 @@ def _mean_dbm(values_mw) -> float:
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
     """Evaluate the whole sweep; returns records and writes CSVs.
 
-    The eMBB fading draw for drop ``i`` is shared across schemes,
-    algorithms and placements so comparisons see common channels.
+    Drop ``i`` has the same fading for every scheme, algorithm and
+    placement (:func:`slicepower.channel.drop`), so comparisons see
+    common channels.
     OMA points run the table algorithm only (the descent cannot improve
     a uniform no-interference optimum by more than the grid step).
     """
@@ -115,16 +122,12 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
         log.info("empty sweep axis; nothing to do")
         return records
 
-    fading = [
-        rngmod.substream(cfg.seed, "drop", i).standard_exponential(grid.F)
-        for i in range(cfg.drops)
-    ]
     bcd = BcdOptions(mu0_fraction=cfg.mu0_fraction, tau=cfg.tau, draws=cfg.crn_draws)
 
     for d_e in d_e_axis:
-        gamma_e_mean = mean_snr_from_distance(d_e, geom, sigma2_w) / 1e3
+        gamma_e_mean = cfg.mean_gain(d_e)
         for d_u in d_u_axis:
-            gamma_u_mean = mean_snr_from_distance(d_u, geom, sigma2_w) / 1e3
+            gamma_u_mean = cfg.mean_gain(d_u)
             for scheme_label in cfg.schemes:
                 scheme, f_u_count = scheme_f_u_count(scheme_label, grid.F)
                 r_u = spectral_efficiency(traffic.N_u, grid, f_u_count, cfg.m_u)
@@ -133,12 +136,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
                 for algo in algos:
                     totals, urllc, embb, p_hats = [], [], [], []
                     for i in range(cfg.drops):
-                        channel = ChannelState(
-                            gamma_e=gamma_e_mean * fading[i],
-                            Gamma_e=gamma_e_mean,
-                            Gamma_u=gamma_u_mean,
-                            sigma2=sigma2_w,
-                        )
+                        channel = drop(cfg.seed, i, gamma_e_mean, gamma_u_mean, grid.F)
                         drop_seed = int(
                             rngmod.derive_seed_sequence(
                                 cfg.seed, "alloc", scheme_label, algo,

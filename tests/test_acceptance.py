@@ -35,8 +35,8 @@ from oracles import check_against_oracle
 
 from slicepower import (
     CommonRandomOutage,
-    ChannelState,
     ResourceGrid,
+    ScenarioConfig,
     Scheme,
     TrafficSpec,
     allocate,
@@ -55,7 +55,7 @@ from slicepower import (
     spectral_efficiency,
 )
 from slicepower.alloc import BcdOptions
-from slicepower.channel import Geometry, mean_snr_from_distance
+from slicepower.channel import Geometry, drop
 from slicepower.rng import substream
 from slicepower.table import cell_seed
 from slicepower.units import db_to_linear, dbm_to_mw, dbm_to_watt, mw_to_dbm, snr_db_to_gain
@@ -270,12 +270,10 @@ class TestC07MonotonicityUnderCommonDraws:
 def _scenario_tables_and_drops(gamma_e_mean, gamma_u_mean, drops, seed, trials):
     """Shared setup for C8/C9: channels, broadband powers, restricted table."""
     r_u = spectral_efficiency(N_U, GRID, GRID.F, 1)
-    channels, pe_rows = [], set()
-    for i in range(drops):
-        gamma = gamma_e_mean * substream(seed, "drop", i).standard_exponential(GRID.F)
-        channels.append(ChannelState(gamma_e=gamma, Gamma_e=gamma_e_mean,
-                                     Gamma_u=gamma_u_mean, sigma2=SIGMA2_W))
-        p_e = embb_power(gamma, spectral_efficiency(N_E, GRID, GRID.F, GRID.M))
+    channels = [drop(seed, i, gamma_e_mean, gamma_u_mean, GRID.F) for i in range(drops)]
+    pe_rows = set()
+    for ch in channels:
+        p_e = embb_power(ch.gamma_e, spectral_efficiency(N_E, GRID, GRID.F, GRID.M))
         pe_rows.add(math.ceil(mw_to_dbm(float(p_e.max()))))
     axis_pe = np.concatenate(([-math.inf], np.array(sorted(pe_rows), dtype=float)))
     table = build_table(gamma_u_mean, GRID.F, r_u, trials=trials, seed=seed,
@@ -321,8 +319,8 @@ class TestC09CancellationFloor:
         traffic = TrafficSpec(N_e=N_E, N_u=N_U, epsilon_u=eps, M_u_max=7)
         d_e, d_u = 261.2, 50.0
         channels, table = _scenario_tables_and_drops(
-            gamma_e_mean=mean_snr_from_distance(d_e, GEOM, SIGMA2_W) / 1e3,
-            gamma_u_mean=mean_snr_from_distance(d_u, GEOM, SIGMA2_W) / 1e3,
+            gamma_e_mean=ScenarioConfig().mean_gain(d_e),
+            gamma_u_mean=ScenarioConfig().mean_gain(d_u),
             drops=drops, seed=909, trials=10**5,
         )
         bcd_opts = BcdOptions(draws=10**5)

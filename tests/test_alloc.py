@@ -18,7 +18,7 @@ from slicepower import (
     single_freq_power,
 )
 from slicepower.alloc import BcdOptions, descend_urllc_power, feasible_urllc_power
-from slicepower.rng import substream
+from slicepower.channel import drop
 from slicepower.units import dbm_to_mw, snr_db_to_gain
 
 GRID = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
@@ -26,7 +26,6 @@ EPS = 1e-2
 TRAFFIC = TrafficSpec(N_e=8640.0, N_u=2160.0 / 7.0, epsilon_u=EPS, M_u_max=7)
 GAMMA_U = snr_db_to_gain(50.0)
 GAMMA_E = snr_db_to_gain(50.0)
-SIGMA2_W = 10 ** ((-108.0 - 30.0) / 10.0)
 BCD = BcdOptions(draws=30_000)
 
 
@@ -48,10 +47,8 @@ def oma3_table():
     )
 
 
-def channel(drop: int, gamma_e_mean=GAMMA_E, gamma_u_mean=GAMMA_U) -> ChannelState:
-    fading = substream(202, "drop", drop).standard_exponential(GRID.F)
-    return ChannelState(gamma_e=gamma_e_mean * fading, Gamma_e=gamma_e_mean,
-                        Gamma_u=gamma_u_mean, sigma2=SIGMA2_W)
+def channel(i: int) -> ChannelState:
+    return drop(202, i, GAMMA_E, GAMMA_U, GRID.F)
 
 
 class TestFeasibleAllocator:
@@ -90,8 +87,7 @@ class TestFeasibleAllocator:
         # skips them: the worst interference is zero and the uniform part
         # of the answer equals the orthogonal one
         gamma_e = np.concatenate((np.full(3, 100.0), np.full(9, 1e4)))
-        ch = ChannelState(gamma_e=gamma_e, Gamma_e=GAMMA_E, Gamma_u=GAMMA_U,
-                          sigma2=SIGMA2_W)
+        ch = ChannelState(gamma_e=gamma_e, Gamma_u=GAMMA_U)
         noma = allocate(GRID, TRAFFIC, ch, Scheme.NOMA, "fea", 3, 1,
                         seed=3, table=oma3_table, evidence_trials=10_000)
         oma = allocate(GRID, TRAFFIC, ch, Scheme.OMA, "fea", 3, 1,

@@ -7,6 +7,9 @@ import pytest
 
 import slicepower
 from slicepower.cli import main
+from slicepower.config import load_config
+from slicepower.grid import spectral_efficiency
+from slicepower.sweep import table_build_command
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,7 +96,21 @@ class TestAllocate:
         rc = main(["allocate", "--scheme", "noma", "--algo", "fea", "--du", "100",
                    "--de", "146.9", "--seed", "7", "--config", str(cfg)])
         assert rc == 1
-        assert "table build" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "table build" in err
+        # the same command the sweep prints for a missing table
+        loaded = load_config(cfg)
+        r_u = spectral_efficiency(loaded.n_u, loaded.grid(), loaded.f_count, loaded.m_u)
+        assert table_build_command(loaded.mean_gain(100.0), loaded.f_count, r_u,
+                                   loaded.table_trials, 7, "table.npz") in err
+
+    def test_config_sets_evidence_trials(self, tmp_path, capsys):
+        path = write_fast_config(tmp_path)
+        rc = main(["allocate", "--scheme", "oma-3", "--algo", "fea", "--du", "100",
+                   "--de", "146.9", "--seed", "7", "--config", str(path), "--auto-table"])
+        assert rc == 0
+        trials = load_config(path).evidence_trials
+        assert f" trials={trials}\n" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -124,6 +141,19 @@ class TestUsage:
 
 
 class TestVerify:
+    def test_unknown_suite_exits_before_pytest(self, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.setattr(pytest, "main", lambda args: pytest.fail("pytest started"))
+        assert main(["verify", "--suite", "nosuch"]) == 2
+        assert os.path.join("tests", "test_nosuch.py") in capsys.readouterr().err
+
+    def test_any_test_file_is_a_suite(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        calls = []
+        monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
+        assert main(["verify", "--suite", "figure_scale"]) == 0
+        assert calls == [["-q", str(REPO_ROOT / "tests" / "test_figure_scale.py")]]
+
     def test_suite_runs_green(self, tmp_path):
         # run in a subprocess so the nested pytest session cannot disturb
         # the current one

@@ -1,7 +1,8 @@
 import pytest
 
-from slicepower import ScenarioConfig, Scheme, load_config, scheme_f_u_count
+from slicepower import ScenarioConfig, Scheme, distance_from_mean_snr, load_config, scheme_f_u_count
 from slicepower.config import dump_config
+from slicepower.units import db_to_linear, dbm_to_watt, snr_db_to_gain
 
 
 class TestDefaults:
@@ -26,6 +27,14 @@ class TestDefaults:
         assert cfg.grid().T_m == pytest.approx(1e-3 / 7.0)
         assert cfg.traffic().epsilon_u == 1e-5
         assert cfg.geometry().cell_radius == 500.0
+
+    @pytest.mark.parametrize("snr_db", [30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
+    def test_mean_gain_at_the_distance_anchors(self, snr_db):
+        # the per-watt mean SNR of C1's anchors, as a per-mW gain
+        cfg = ScenarioConfig()
+        sigma2_w = dbm_to_watt(cfg.noise_dbm)
+        d = distance_from_mean_snr(db_to_linear(snr_db), cfg.geometry(), sigma2_w)
+        assert cfg.mean_gain(d) == pytest.approx(snr_db_to_gain(snr_db), rel=1e-12)
 
 
 class TestParsing:

@@ -13,17 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from slicepower import ChannelState, ResourceGrid, Scheme, TrafficSpec, allocate, build_table, embb_power, spectral_efficiency
+from slicepower import ResourceGrid, ScenarioConfig, Scheme, TrafficSpec, allocate, build_table, embb_power, spectral_efficiency
 from slicepower.alloc import BcdOptions
-from slicepower.channel import Geometry, mean_snr_from_distance
-from slicepower.rng import substream
-from slicepower.units import dbm_to_watt, mw_to_dbm
+from slicepower.channel import drop
+from slicepower.units import mw_to_dbm
 
 pytestmark = pytest.mark.slow
 
 GRID = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
-GEOM = Geometry()
-SIGMA2_W = dbm_to_watt(-108.0)
 TRAFFIC = TrafficSpec(N_e=8640.0, N_u=2160.0 / 7.0, epsilon_u=1e-5, M_u_max=7)
 D_E = 146.9
 DROPS = 60
@@ -31,21 +28,19 @@ TRIALS = 10**7
 
 
 def _mean_total_dbm(d_u: float, scheme_label: str) -> float:
-    gamma_e_mean = mean_snr_from_distance(D_E, GEOM, SIGMA2_W) / 1e3
-    gamma_u_mean = mean_snr_from_distance(d_u, GEOM, SIGMA2_W) / 1e3
+    gamma_e_mean = ScenarioConfig().mean_gain(D_E)
+    gamma_u_mean = ScenarioConfig().mean_gain(d_u)
     scheme = Scheme.NOMA if scheme_label == "noma" else Scheme.OMA
     f_u_count = GRID.F if scheme is Scheme.NOMA else 3
     algo = "bcd" if scheme is Scheme.NOMA else "fea"
     r_u = spectral_efficiency(TRAFFIC.N_u, GRID, f_u_count, 1)
     r_e_full = spectral_efficiency(TRAFFIC.N_e, GRID, GRID.F, GRID.M)
 
-    channels, pe_rows = [], set()
-    for i in range(DROPS):
-        gamma = gamma_e_mean * substream(1717, "drop", i).standard_exponential(GRID.F)
-        channels.append(ChannelState(gamma_e=gamma, Gamma_e=gamma_e_mean,
-                                     Gamma_u=gamma_u_mean, sigma2=SIGMA2_W))
-        if scheme is Scheme.NOMA:
-            pe_rows.add(math.ceil(mw_to_dbm(float(embb_power(gamma, r_e_full).max()))))
+    channels = [drop(1717, i, gamma_e_mean, gamma_u_mean, GRID.F) for i in range(DROPS)]
+    pe_rows = set()
+    if scheme is Scheme.NOMA:
+        for ch in channels:
+            pe_rows.add(math.ceil(mw_to_dbm(float(embb_power(ch.gamma_e, r_e_full).max()))))
     axis_pe = np.concatenate(([-math.inf], np.array(sorted(pe_rows), dtype=float)))
     table = build_table(gamma_u_mean, f_u_count, r_u, trials=TRIALS, seed=1717,
                         axis_pe_dbm=axis_pe)
