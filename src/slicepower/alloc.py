@@ -67,9 +67,6 @@ class BcdOptions:
     draws: int = 10**6
     use_margin: bool = True
 
-    def initial_step(self, p_init: np.ndarray) -> float:
-        return self.mu0_fraction * float(np.mean(p_init))
-
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -136,7 +133,7 @@ def descend_urllc_power(
     floor = np.asarray(p_u_sic_on_fu, dtype=float)
     crn.attach(p, p_e_on_fu)
     active = [f for f in range(p.size) if p[f] > floor[f]]
-    mu = options.initial_step(p)
+    mu = options.mu0_fraction * float(np.mean(p))
     sweeps = 0
     while mu > options.tau and active:
         changed = False

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .alloc import Algorithm, BcdOptions, allocate
+from .alloc import Algorithm, allocate
 from .channel import drop
 from .config import load_config, scheme_f_u_count
 from .errors import SlicePowerError
@@ -84,10 +84,9 @@ def _cmd_allocate(args) -> int:
                                   args.seed, "table.npz")
         )
 
-    bcd = BcdOptions(mu0_fraction=cfg.mu0_fraction, tau=cfg.tau, draws=cfg.crn_draws)
     result = allocate(
         grid, traffic, channel, scheme, args.algo, f_u_count, cfg.m_u, args.seed,
-        table=table, bcd=bcd, evidence_trials=cfg.evidence_trials,
+        table=table, bcd=cfg.bcd_options(), evidence_trials=cfg.evidence_trials,
     )
     print(f"scheme={args.scheme} algorithm={args.algo} d_u={args.du!r} d_e={args.de!r} "
           f"seed={args.seed}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .alloc import Algorithm
+from .alloc import Algorithm, BcdOptions
 from .channel import Geometry, mean_snr_from_distance
 from .grid import ResourceGrid, Scheme, TrafficSpec
 from .units import dbm_to_watt
@@ -80,6 +80,9 @@ class ScenarioConfig:
         """Per-mW mean gain at ``distance_m``: the per-watt mean SNR / 1e3."""
         sigma2_w = dbm_to_watt(self.noise_dbm)
         return mean_snr_from_distance(distance_m, self.geometry(), sigma2_w) / 1e3
+
+    def bcd_options(self) -> BcdOptions:
+        return BcdOptions(mu0_fraction=self.mu0_fraction, tau=self.tau, draws=self.crn_draws)
 
 
 def scheme_f_u_count(scheme_label: str, f_count: int) -> tuple[Scheme, int]:

@@ -93,6 +93,29 @@ class OutageEstimate:
         return cls(p, trials, 3.0 * math.sqrt(p * (1.0 - p) / trials))
 
 
+def _power_vectors(p_u, p_e, f_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of both power vectors over ``f_count`` resources."""
+    p_u = np.array(np.broadcast_to(np.asarray(p_u, dtype=float), (f_count,)))
+    p_e = np.array(np.broadcast_to(np.asarray(p_e, dtype=float), (f_count,)))
+    if np.any(p_u < 0.0) or np.any(p_e < 0.0):
+        raise ValueError("powers must be non-negative")
+    return p_u, p_e
+
+
+def _target_nats(gamma_u_mean: float, samples: int, f_count: int, r_u: float) -> float:
+    """Outage target ``F_u * r_u`` in nats, once the sampling setup is checked."""
+    if samples < 1:
+        raise ValueError(f"need at least one fading draw, got {samples}")
+    if gamma_u_mean <= 0.0:
+        raise ValueError("mean SNR must be positive")
+    return f_count * r_u * _LN2
+
+
+def _outages(total_nats: np.ndarray, target_nats: float) -> int:
+    """Number of draws whose accumulated rate is at or below the target."""
+    return int((total_nats <= target_nats).sum())
+
+
 def _sure_outage_bound_nats(p_u: np.ndarray, p_e: np.ndarray) -> float:
     """Supremum of the achievable rate over all fading draws, if finite.
 
@@ -127,30 +150,19 @@ def estimate_outage(
     value 1 is returned without sampling; this equals what any seed would
     estimate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if gamma_u_mean <= 0.0:
-        raise ValueError("mean SNR must be positive")
-    p_u = np.atleast_1d(np.asarray(p_u, dtype=float))
-    p_e = np.broadcast_to(np.asarray(p_e, dtype=float), p_u.shape).astype(float)
-    if np.any(p_u < 0.0) or np.any(p_e < 0.0):
-        raise ValueError("powers must be non-negative")
-    f_count = p_u.size
-    target_nats = f_count * r_u * _LN2
+    f_count = np.size(p_u)
+    target_nats = _target_nats(gamma_u_mean, trials, f_count, r_u)
+    p_u, p_e = _power_vectors(p_u, p_e, f_count)
 
     if _sure_outage_bound_nats(p_u, p_e) <= target_nats:
         return OutageEstimate(1.0, trials, 0.0)
 
     gen = rngmod.substream(seed, "outage")
     outages = 0
-    left = trials
-    while left > 0:
-        n = min(_CHUNK, left)
-        gamma = gen.standard_exponential((n, f_count))
+    for start in range(0, trials, _CHUNK):
+        gamma = gen.standard_exponential((min(_CHUNK, trials - start), f_count))
         gamma *= gamma_u_mean
-        rate = _sinr_rate_nats(gamma, p_u, p_e).sum(axis=1)
-        outages += int((rate <= target_nats).sum())
-        left -= n
+        outages += _outages(_sinr_rate_nats(gamma, p_u, p_e).sum(axis=1), target_nats)
     return OutageEstimate.from_counts(outages, trials)
 
 
@@ -181,47 +193,45 @@ class CommonRandomOutage:
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
-        if draws < 1:
-            raise ValueError("draws must be >= 1")
+        self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
         gen = rngmod.substream(seed, "crn")
         self.gamma = gamma_u_mean * gen.standard_exponential((draws, f_count))
         self.draws = draws
         self.f_count = f_count
-        self.target_nats = f_count * r_u * _LN2
         self._p_e = None
         self._p_u = None
         self._total = None
 
+    def _estimate(self, total_nats: np.ndarray) -> OutageEstimate:
+        return OutageEstimate.from_counts(_outages(total_nats, self.target_nats), self.draws)
+
     def estimate(self, p_u, p_e) -> OutageEstimate:
         """Outage estimate at an arbitrary vector pair (full recompute)."""
-        p_u = np.broadcast_to(np.asarray(p_u, float), (self.f_count,))
-        p_e = np.broadcast_to(np.asarray(p_e, float), (self.f_count,))
-        total = _sinr_rate_nats(self.gamma, p_u, p_e).sum(axis=1)
-        return OutageEstimate.from_counts(int((total <= self.target_nats).sum()), self.draws)
+        p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
+        return self._estimate(_sinr_rate_nats(self.gamma, p_u, p_e).sum(axis=1))
 
     # -- coordinate-update session -------------------------------------
 
     def attach(self, p_u, p_e) -> OutageEstimate:
         """Fix the working vectors and cache per-draw totals."""
-        self._p_u = np.array(np.broadcast_to(np.asarray(p_u, float), (self.f_count,)))
-        self._p_e = np.array(np.broadcast_to(np.asarray(p_e, float), (self.f_count,)))
+        self._p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
         self._total = _sinr_rate_nats(self.gamma, self._p_u, self._p_e).sum(axis=1)
-        return OutageEstimate.from_counts(
-            int((self._total <= self.target_nats).sum()), self.draws
-        )
+        return self._estimate(self._total)
 
-    def _column(self, f: int, value: float) -> np.ndarray:
-        g = self.gamma[:, f]
-        return np.log1p(g * value / (1.0 + g * self._p_e[f]))
+    def _delta(self, f: int, value: float) -> np.ndarray:
+        """Per-draw change of the totals when coordinate ``f`` becomes ``value``."""
+        if self._total is None:
+            raise RuntimeError("attach() a working vector first")
+        if value < 0.0:
+            raise ValueError("powers must be non-negative")
+        g, p_e_f = self.gamma[:, f], self._p_e[f]
+        return _sinr_rate_nats(g, value, p_e_f) - _sinr_rate_nats(g, self._p_u[f], p_e_f)
 
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
-        if self._total is None:
-            raise RuntimeError("attach() a working vector first")
-        total = self._total + (self._column(f, value) - self._column(f, self._p_u[f]))
-        return OutageEstimate.from_counts(int((total <= self.target_nats).sum()), self.draws)
+        return self._estimate(self._total + self._delta(f, value))
 
     def commit(self, f: int, value: float) -> None:
         """Adopt the coordinate change evaluated by :meth:`try_coordinate`."""
-        self._total += self._column(f, value) - self._column(f, self._p_u[f])
+        self._total += self._delta(f, value)
         self._p_u[f] = value

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .alloc import Algorithm, BcdOptions, allocate
+from .alloc import Algorithm, allocate
 from .channel import distance_from_mean_snr, drop
 from .config import ScenarioConfig, scheme_f_u_count
 from .errors import SlicePowerError
@@ -122,8 +122,6 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
         log.info("empty sweep axis; nothing to do")
         return records
 
-    bcd = BcdOptions(mu0_fraction=cfg.mu0_fraction, tau=cfg.tau, draws=cfg.crn_draws)
-
     for d_e in d_e_axis:
         gamma_e_mean = cfg.mean_gain(d_e)
         for d_u in d_u_axis:
@@ -146,7 +144,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
                         result = allocate(
                             grid, traffic, channel, scheme, algo,
                             f_u_count, cfg.m_u, drop_seed, table=table,
-                            bcd=bcd, evidence_trials=cfg.evidence_trials,
+                            bcd=cfg.bcd_options(), evidence_trials=cfg.evidence_trials,
                         )
                         totals.append(result.p_total_mw)
                         urllc.append(result.urllc_power_mw)

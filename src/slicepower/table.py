@@ -5,22 +5,23 @@ outage probability on a dBm grid of uniform transmit/interference power
 pairs.  ``-inf`` on the interference axis is the no-interference row.
 Every cell is produced by :func:`slicepower.outage.estimate_outage`
 under a sub-seed derived from the cell's coordinates, so any cell can be
-reproduced in isolation and cells may be computed in any order or in
-parallel without changing the result.
+reproduced in isolation and cells may be computed in any order without
+changing the result.  Writes are atomic: a file at a table path is
+either the previous table or the complete new one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import TableExhaustedError
-from .outage import OutageEstimate, estimate_outage
+from .outage import estimate_outage
 from .units import dbm_to_mw, mw_to_dbm
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
 
 _FORMAT_NAME = "slicepower-outage-table"
 _FORMAT_VERSION = 1
+_MATCH_REL_TOL = 1e-2
 
 
 def default_power_axis_dbm() -> np.ndarray:
@@ -84,7 +86,7 @@ class OutageTable:
         if np.any(self.values < 0.0) or np.any(self.values > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
 
-    def matches(self, gamma_u: float, f_count: int, r_u: float, rel_tol: float = 1e-2) -> bool:
+    def matches(self, gamma_u: float, f_count: int, r_u: float) -> bool:
         """True when the table serves this (mean SNR, F_u, rate) need.
 
         The tolerance (~0.04 dB on the mean SNR) absorbs rounded dB/distance
@@ -92,24 +94,14 @@ class OutageTable:
         """
         return (
             self.f_count == f_count
-            and math.isclose(self.gamma_u, gamma_u, rel_tol=rel_tol)
-            and math.isclose(self.r_u, r_u, rel_tol=rel_tol)
+            and math.isclose(self.gamma_u, gamma_u, rel_tol=_MATCH_REL_TOL)
+            and math.isclose(self.r_u, r_u, rel_tol=_MATCH_REL_TOL)
         )
 
 
 def cell_seed(base_seed: int, pu_dbm: float, pe_dbm: float) -> np.random.SeedSequence:
     """Sub-seed of one table cell, keyed by the grid coordinates."""
     return rngmod.derive_seed_sequence(base_seed, "table-cell", float(pu_dbm), float(pe_dbm))
-
-
-def _cell_estimate(
-    gamma_u: float, f_count: int, r_u: float, pu_dbm: float, pe_dbm: float,
-    trials: int, base_seed: int,
-) -> OutageEstimate:
-    seed = int(cell_seed(base_seed, pu_dbm, pe_dbm).generate_state(1)[0])
-    p_u = np.full(f_count, dbm_to_mw(pu_dbm))
-    p_e = np.full(f_count, dbm_to_mw(pe_dbm))
-    return estimate_outage(p_u, p_e, gamma_u, r_u, trials, seed)
 
 
 def build_table(
@@ -121,32 +113,23 @@ def build_table(
     axis_pu_dbm=None,
     axis_pe_dbm=None,
     m_u: int = 1,
-    workers: int = 1,
 ) -> OutageTable:
     """Estimate every (interference, power) cell of the grid.
 
     Each cell is an independent :func:`estimate_outage` run under its
-    derived sub-seed, so the table is bit-reproducible regardless of
-    ``workers``.
+    derived sub-seed, so the table is bit-reproducible whatever the
+    order in which its cells are computed.
     """
     axis_pu = default_power_axis_dbm() if axis_pu_dbm is None else np.asarray(axis_pu_dbm, float)
     axis_pe = (
         default_interference_axis_dbm() if axis_pe_dbm is None else np.asarray(axis_pe_dbm, float)
     )
     values = np.empty((axis_pe.size, axis_pu.size))
-
-    def fill(idx):
-        i, j = idx
-        est = _cell_estimate(gamma_u, f_count, r_u, axis_pu[j], axis_pe[i], trials, seed)
-        values[i, j] = est.p_hat
-
-    cells = [(i, j) for i in range(axis_pe.size) for j in range(axis_pu.size)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, cells))
-    else:
-        for idx in cells:
-            fill(idx)
+    for i, pe_dbm in enumerate(axis_pe):
+        for j, pu_dbm in enumerate(axis_pu):
+            cell = int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
+            p_u = np.full(f_count, dbm_to_mw(pu_dbm))
+            values[i, j] = estimate_outage(p_u, dbm_to_mw(pe_dbm), gamma_u, r_u, trials, cell).p_hat
     return OutageTable(
         axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
         r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,
@@ -210,27 +193,34 @@ def save_table(table: OutageTable, path) -> None:
 
     Both encodings round-trip bit-exactly: JSON stores shortest-repr
     floats (with ``-Infinity`` for the no-interference row) and the
-    binary form stores the raw float64 arrays.
+    binary form stores the raw float64 arrays.  A temporary file beside
+    ``path`` is renamed over it, so a failed save leaves the old table.
     """
     path = str(path)
-    if path.endswith(".json"):
-        doc = _meta_dict(table)
-        doc["axis_pu_dbm"] = table.axis_pu_dbm.tolist()
-        doc["axis_pe_dbm"] = table.axis_pe_dbm.tolist()
-        doc["values"] = table.values.tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-    elif path.endswith(".npz"):
-        np.savez_compressed(
-            path,
-            meta=json.dumps(_meta_dict(table)),
-            axis_pu_dbm=table.axis_pu_dbm,
-            axis_pe_dbm=table.axis_pe_dbm,
-            values=table.values,
-        )
-    else:
+    if not path.endswith((".json", ".npz")):
         raise ValueError(f"unsupported table format: {path!r} (use .json or .npz)")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            if path.endswith(".json"):
+                doc = _meta_dict(table)
+                doc["axis_pu_dbm"] = table.axis_pu_dbm.tolist()
+                doc["axis_pe_dbm"] = table.axis_pe_dbm.tolist()
+                doc["values"] = table.values.tolist()
+                fh.write((json.dumps(doc) + "\n").encode("utf-8"))
+            else:
+                # the open handle: a path name would get ".npz" appended
+                np.savez_compressed(
+                    fh,
+                    meta=json.dumps(_meta_dict(table)),
+                    axis_pu_dbm=table.axis_pu_dbm,
+                    axis_pe_dbm=table.axis_pe_dbm,
+                    values=table.values,
+                )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_table(path) -> OutageTable:

@@ -1,6 +1,7 @@
 import pytest
 
-from slicepower import ScenarioConfig, Scheme, distance_from_mean_snr, load_config, scheme_f_u_count
+from slicepower import (BcdOptions, ScenarioConfig, Scheme, distance_from_mean_snr, load_config,
+                        scheme_f_u_count)
 from slicepower.config import dump_config
 from slicepower.units import db_to_linear, dbm_to_watt, snr_db_to_gain
 
@@ -27,6 +28,8 @@ class TestDefaults:
         assert cfg.grid().T_m == pytest.approx(1e-3 / 7.0)
         assert cfg.traffic().epsilon_u == 1e-5
         assert cfg.geometry().cell_radius == 500.0
+        tuned = ScenarioConfig(mu0_fraction=0.2, tau=1e-3, crn_draws=7)
+        assert tuned.bcd_options() == BcdOptions(mu0_fraction=0.2, tau=1e-3, draws=7)
 
     @pytest.mark.parametrize("snr_db", [30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
     def test_mean_gain_at_the_distance_anchors(self, snr_db):

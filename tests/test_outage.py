@@ -153,6 +153,23 @@ class TestCommonRandomOutage:
         b = estimate_outage(p_u, p_e, gamma, r_u, 10**5, seed=13)
         assert abs(a.p_hat - b.p_hat) <= a.ci_halfwidth + b.ci_halfwidth
 
+    def test_rejects_bad_setup(self):
+        for gamma, draws in ((0.0, 1000), (-1.0, 1000), (1.0, 0)):
+            with pytest.raises(ValueError):
+                CommonRandomOutage(gamma, 2, 1.0, draws=draws, seed=1)
+
+    def test_rejects_negative_powers(self):
+        crn = CommonRandomOutage(1.0, 2, 1.0, draws=1000, seed=1)
+        with pytest.raises(ValueError):
+            crn.estimate([-5, -5], [0, 0])
+        with pytest.raises(ValueError):
+            crn.attach([1.0, 1.0], [0.0, -1.0])
+        crn.attach([1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            crn.try_coordinate(0, -5.0)
+        with pytest.raises(ValueError):
+            crn.commit(0, -5.0)
+
     def test_requires_attach_before_updates(self):
         crn = CommonRandomOutage(1.0, 2, 1.0, draws=100, seed=1)
         with pytest.raises(RuntimeError):

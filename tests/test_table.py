@@ -1,10 +1,14 @@
+import errno
 import math
+import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from slicepower import TableExhaustedError, build_table, estimate_outage, load_table, min_feasible_power, save_table
 from slicepower.table import OutageTable, cell_seed, default_interference_axis_dbm, default_power_axis_dbm
+from slicepower.units import dbm_to_mw
 
 
 def synthetic_table():
@@ -32,11 +36,21 @@ class TestDefaults:
 
 class TestBuild:
     def test_bit_reproducible_and_schedule_independent(self):
-        kw = dict(gamma_u=1.0, f_count=12, r_u=1.0, trials=4000, seed=42,
-                  axis_pu_dbm=np.arange(-4.0, 5.0), axis_pe_dbm=np.array([-math.inf, 0.0]))
-        one = build_table(**kw)
-        two = build_table(**kw, workers=3)
-        assert np.array_equal(one.values, two.values)
+        # every cell, recomputed alone and last cell first, equals the built
+        # one: a cell depends on its own sub-seed only, never on the order
+        axis_pu, axis_pe = np.arange(-4.0, 5.0), np.array([-math.inf, 0.0])
+        table = build_table(1.0, 12, 1.0, trials=4000, seed=42,
+                            axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe)
+        cells = [(i, j) for i in range(axis_pe.size) for j in range(axis_pu.size)]
+        again = np.empty_like(table.values)
+        for i, j in reversed(cells):
+            seed = int(cell_seed(42, axis_pu[j], axis_pe[i]).generate_state(1)[0])
+            p_u, p_e = [dbm_to_mw(axis_pu[j])] * 12, [dbm_to_mw(axis_pe[i])] * 12
+            again[i, j] = estimate_outage(p_u, p_e, 1.0, 1.0, 4000, seed).p_hat
+        assert np.array_equal(again, table.values)
+        # the -inf row is sampled; at 0 dBm interference, P_u <= 0 dBm is a sure outage
+        assert 0.0 < table.values[0].min() < 1.0
+        assert np.all(table.values[1, axis_pu <= 0.0] == 1.0)
 
     def test_cell_equals_fresh_estimate(self):
         table = build_table(1.0, 12, 1.0, trials=3000, seed=17,
@@ -105,12 +119,29 @@ class TestPersistence:
         table = synthetic_table()
         path = tmp_path / f"table{suffix}"
         save_table(table, path)
+        assert os.listdir(tmp_path) == [path.name]
         loaded = load_table(path)
         assert np.array_equal(loaded.axis_pu_dbm, table.axis_pu_dbm)
         assert np.array_equal(loaded.axis_pe_dbm, table.axis_pe_dbm)
         assert np.array_equal(loaded.values, table.values)
         for name in ("gamma_u", "f_count", "r_u", "m_u", "trials", "seed", "version"):
             assert getattr(loaded, name) == getattr(table, name)
+
+    def test_failed_save_leaves_previous_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "table.npz"
+        save_table(synthetic_table(), path)
+
+        def full_disk(file, **arrays):
+            """np.savez_compressed (path or open file) that runs out of space."""
+            with open(file, "wb") if isinstance(file, str) else nullcontext(file) as fh:
+                fh.write(b"PK\x03\x04")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(np, "savez_compressed", full_disk)
+        with pytest.raises(OSError):
+            save_table(build_table(1.0, 4, 0.5, trials=10, seed=9), path)
+        assert os.listdir(tmp_path) == ["table.npz"]
+        assert np.array_equal(load_table(path).values, synthetic_table().values)
 
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ValueError):
