@@ -212,12 +212,12 @@ def allocate(
     p_u_on_fu = feasible_urllc_power(p_e_on_fu, p_sic_on_fu, table, traffic.epsilon_u)
     iterations = 0
     if algorithm == Algorithm.BCD:
-        crn = CommonRandomOutage(
-            channel.Gamma_u, sets.F_u, r_u, bcd.draws,
-            seed=int(rngmod.derive_seed_sequence(seed, "bcd-draws").generate_state(1)[0]),
-        )
+        # built in the call, so its draws are freed before the evidence run
+        crn_seed = int(rngmod.derive_seed_sequence(seed, "bcd-draws").generate_state(1)[0])
         p_u_on_fu, iterations = descend_urllc_power(
-            p_u_on_fu, p_sic_on_fu, p_e_on_fu, crn, traffic.epsilon_u, bcd
+            p_u_on_fu, p_sic_on_fu, p_e_on_fu,
+            CommonRandomOutage(channel.Gamma_u, sets.F_u, r_u, bcd.draws, seed=crn_seed),
+            traffic.epsilon_u, bcd,
         )
 
     p_u = _as_full(p_u_on_fu, fu, grid.F)

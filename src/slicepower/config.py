@@ -10,6 +10,8 @@ comma-separated.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 from .alloc import Algorithm, BcdOptions
@@ -19,8 +21,11 @@ from .units import dbm_to_watt
 
 __all__ = ["ScenarioConfig", "scheme_f_u_count", "load_config", "dump_config"]
 
+log = logging.getLogger(__name__)
+
 _LIST_FIELDS = {"schemes", "algorithms", "d_u", "d_e", "gamma_u_db", "gamma_e_db"}
 _FLOAT_LISTS = {"d_u", "d_e", "gamma_u_db", "gamma_e_db"}
+_SAMPLE_FIELDS = ("table_trials", "crn_draws", "evidence_trials")
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,22 @@ def _parse_value(name: str, raw: str, kind):
     return raw
 
 
+def _warn_small_samples(cfg: ScenarioConfig) -> None:
+    """Log one warning naming every sample size below ``10 / epsilon_u``.
+
+    Below that, an estimate at the target expects fewer than ten outages.
+    """
+    if cfg.epsilon_u <= 0.0:
+        return
+    minimum = math.ceil(10.0 / cfg.epsilon_u)
+    short = [f"{name} = {getattr(cfg, name)}" for name in _SAMPLE_FIELDS
+             if getattr(cfg, name) < minimum]
+    if short:
+        log.warning("%s below the minimum 10/epsilon_u = %d: estimates at "
+                    "epsilon_u = %g expect fewer than ten outages",
+                    ", ".join(short), minimum, cfg.epsilon_u)
+
+
 def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
     """Read a key=value file (missing keys keep their defaults)."""
     values: dict = {}
@@ -150,6 +171,7 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
     if cfg.drops < 1:
         raise ValueError("drops must be >= 1")
+    _warn_small_samples(cfg)
     return cfg
 
 

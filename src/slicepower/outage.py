@@ -35,11 +35,17 @@ _LN2 = math.log(2.0)
 _CHUNK = 1 << 19
 
 
-def _sinr_rate_nats(gamma, p_u, p_e):
-    """ln(1 + gamma*p_u / (1 + gamma*p_e)), broadcasting over rows."""
-    num = gamma * p_u
-    den = 1.0 + gamma * p_e
-    return np.log1p(num / den)
+def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray) -> np.ndarray:
+    """ln(1 + gamma*p_u / (1 + gamma*p_e)), broadcast to the shape of ``den``.
+
+    ``den`` receives ``1 + gamma*p_e``; it may be ``gamma`` itself, which
+    is then overwritten.
+    """
+    rate = np.multiply(gamma, p_u, out=np.empty_like(den))
+    np.multiply(gamma, p_e, out=den)
+    den += 1.0
+    rate /= den
+    return np.log1p(rate, out=rate)
 
 
 def mutual_info_u(p_u, p_e, gamma_u) -> float:
@@ -47,7 +53,8 @@ def mutual_info_u(p_u, p_e, gamma_u) -> float:
     p_u, p_e, gamma_u = np.broadcast_arrays(
         np.asarray(p_u, float), np.asarray(p_e, float), np.asarray(gamma_u, float)
     )
-    return float(_sinr_rate_nats(gamma_u, p_u, p_e).sum() / (_LN2 * p_u.size))
+    rate = _sinr_rate_nats(gamma_u, p_u, p_e, np.empty(p_u.shape))
+    return float(rate.sum() / (_LN2 * p_u.size))
 
 
 def mutual_info_sic(p_u, p_e, gamma_e, scheme: Scheme) -> float:
@@ -113,7 +120,7 @@ def _target_nats(gamma_u_mean: float, samples: int, f_count: int, r_u: float) ->
 
 def _outages(total_nats: np.ndarray, target_nats: float) -> int:
     """Number of draws whose accumulated rate is at or below the target."""
-    return int((total_nats <= target_nats).sum())
+    return int(np.count_nonzero(total_nats <= target_nats))
 
 
 def _sure_outage_bound_nats(p_u: np.ndarray, p_e: np.ndarray) -> float:
@@ -162,7 +169,8 @@ def estimate_outage(
     for start in range(0, trials, _CHUNK):
         gamma = gen.standard_exponential((min(_CHUNK, trials - start), f_count))
         gamma *= gamma_u_mean
-        outages += _outages(_sinr_rate_nats(gamma, p_u, p_e).sum(axis=1), target_nats)
+        rate = _sinr_rate_nats(gamma, p_u, p_e, den=gamma)
+        outages += _outages(rate.sum(axis=1), target_nats)
     return OutageEstimate.from_counts(outages, trials)
 
 
@@ -187,51 +195,78 @@ class CommonRandomOutage:
 
     Reusing the same draws across candidate power vectors makes
     comparisons deterministic and exactly monotone: lowering any single
-    power coordinate can only grow the outage count.  The coordinate
-    update path recomputes one column instead of the full matrix, which
-    is what the descent loop needs.
+    power coordinate can only grow the outage count.
+
+    The draws are kept resource-major, one contiguous column per
+    resource.  :meth:`attach` also caches, per resource, the rate column
+    ``ln(1 + g Pu / (1 + g Pe))`` and the denominator ``1 + g Pe``, next
+    to the per-draw totals.  A coordinate try then costs one ``log1p``
+    pass over one column, and :meth:`commit` reuses the column of the try
+    it adopts.  An attached estimator holds 3 x draws x F_u float64 (the
+    draws and both caches) plus three draws-long buffers; :meth:`attach`
+    briefly needs a fourth block to sum the totals draw-major.  Every
+    estimate is bit-identical to a full recompute.
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
         self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
         gen = rngmod.substream(seed, "crn")
-        self.gamma = gamma_u_mean * gen.standard_exponential((draws, f_count))
+        gamma = gen.standard_exponential((draws, f_count))
+        gamma *= gamma_u_mean
+        self._gamma = np.ascontiguousarray(gamma.T)
         self.draws = draws
         self.f_count = f_count
-        self._p_e = None
-        self._p_u = None
-        self._total = None
+        self._total = None  # set, with the cached columns, by attach()
+        self._tried = None
 
     def _estimate(self, total_nats: np.ndarray) -> OutageEstimate:
         return OutageEstimate.from_counts(_outages(total_nats, self.target_nats), self.draws)
 
+    def _columns(self, p_u: np.ndarray, p_e: np.ndarray):
+        """Rate and denominator columns at checked vectors, and the per-draw totals."""
+        den = np.empty_like(self._gamma)
+        rate = _sinr_rate_nats(self._gamma, p_u[:, None], p_e[:, None], den)
+        # summed draw-major, as the pairwise row sum of a (draws, F_u) block
+        total = np.ascontiguousarray(rate.T).sum(axis=1)
+        return rate, den, total
+
     def estimate(self, p_u, p_e) -> OutageEstimate:
         """Outage estimate at an arbitrary vector pair (full recompute)."""
         p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
-        return self._estimate(_sinr_rate_nats(self.gamma, p_u, p_e).sum(axis=1))
+        return self._estimate(self._columns(p_u, p_e)[2])
 
     # -- coordinate-update session -------------------------------------
 
     def attach(self, p_u, p_e) -> OutageEstimate:
-        """Fix the working vectors and cache per-draw totals."""
-        self._p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
-        self._total = _sinr_rate_nats(self.gamma, self._p_u, self._p_e).sum(axis=1)
+        """Fix the working vectors and cache the columns and per-draw totals."""
+        self._p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
+        self._rate, self._den, self._total = self._columns(self._p_u, p_e)
+        self._col, self._delta, self._sum = np.empty((3, self.draws))
+        self._tried = None
         return self._estimate(self._total)
 
-    def _delta(self, f: int, value: float) -> np.ndarray:
-        """Per-draw change of the totals when coordinate ``f`` becomes ``value``."""
+    def _move(self, f: int, value: float) -> None:
+        """Rate column and per-draw change of the totals with ``p_u[f] = value``."""
         if self._total is None:
             raise RuntimeError("attach() a working vector first")
         if value < 0.0:
             raise ValueError("powers must be non-negative")
-        g, p_e_f = self.gamma[:, f], self._p_e[f]
-        return _sinr_rate_nats(g, value, p_e_f) - _sinr_rate_nats(g, self._p_u[f], p_e_f)
+        np.multiply(self._gamma[f], value, out=self._col)
+        self._col /= self._den[f]
+        np.log1p(self._col, out=self._col)
+        np.subtract(self._col, self._rate[f], out=self._delta)
+        self._tried = (f, value)
 
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
-        return self._estimate(self._total + self._delta(f, value))
+        self._move(f, value)
+        return self._estimate(np.add(self._total, self._delta, out=self._sum))
 
     def commit(self, f: int, value: float) -> None:
-        """Adopt the coordinate change evaluated by :meth:`try_coordinate`."""
-        self._total += self._delta(f, value)
+        """Adopt the coordinate change, reusing the last try when it was ``(f, value)``."""
+        if self._tried != (f, value):
+            self._move(f, value)
+        self._total += self._delta
+        self._rate[f] = self._col
         self._p_u[f] = value
+        self._tried = None

@@ -1,3 +1,6 @@
+import logging
+import os
+
 import pytest
 
 from slicepower import (BcdOptions, ScenarioConfig, Scheme, distance_from_mean_snr, load_config,
@@ -109,3 +112,31 @@ class TestSchemeMapping:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             scheme_f_u_count("puncturing", 12)
+
+
+class TestSampleSizeWarning:
+    EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "example-scenario.cfg")
+
+    def _warnings(self, caplog, *args, **kwargs):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="slicepower.config"):
+            load_config(*args, **kwargs)
+        return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+
+    def test_default_and_example_configs_are_quiet(self, caplog):
+        assert self._warnings(caplog) == []
+        assert self._warnings(caplog, self.EXAMPLE) == []
+
+    def test_names_each_short_field_and_the_minimum_once(self, caplog):
+        messages = self._warnings(caplog, self.EXAMPLE,
+                                  overrides={"crn_draws": 999, "evidence_trials": 10})
+        assert len(messages) == 1
+        assert "crn_draws = 999" in messages[0] and "evidence_trials = 10" in messages[0]
+        assert "table_trials" not in messages[0]
+        assert "10/epsilon_u = 1000" in messages[0]
+
+    def test_minimum_follows_the_target(self, caplog):
+        messages = self._warnings(caplog, overrides={"table_trials": 999_999})
+        assert len(messages) == 1 and "table_trials = 999999" in messages[0]
+        assert "10/epsilon_u = 1000000" in messages[0]
+        assert self._warnings(caplog, overrides={"epsilon_u": 1e-4, "crn_draws": 100_000}) == []

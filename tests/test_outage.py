@@ -5,6 +5,8 @@ import pytest
 
 from slicepower import (
     CommonRandomOutage,
+    OutageEstimate,
+    ResourceGrid,
     Scheme,
     ZeroInterferenceError,
     estimate_outage,
@@ -15,7 +17,12 @@ from slicepower import (
     mutual_info_u,
     single_freq_power,
 )
+from slicepower.alloc import BcdOptions, descend_urllc_power
+from slicepower.channel import drop
+from slicepower.grid import spectral_efficiency
+from slicepower.rng import substream
 from slicepower.units import snr_db_to_gain
+from slicepower.waterfill import embb_power, sic_power
 
 
 class TestMutualInformation:
@@ -174,6 +181,123 @@ class TestCommonRandomOutage:
         crn = CommonRandomOutage(1.0, 2, 1.0, draws=100, seed=1)
         with pytest.raises(RuntimeError):
             crn.try_coordinate(0, 1.0)
+
+
+class UncachedCommonRandomOutage:
+    """Oracle: the frozen-draw estimator before its columns were cached.
+
+    The draws are draw-major and every try or commit recomputes the rate
+    column at both the current and the new value.
+    """
+
+    def __init__(self, gamma_u_mean, f_count, r_u, draws, seed):
+        self.target_nats = f_count * r_u * math.log(2.0)
+        self.gamma = gamma_u_mean * substream(seed, "crn").standard_exponential((draws, f_count))
+        self.draws = draws
+        self.f_count = f_count
+
+    @staticmethod
+    def _rate(gamma, p_u, p_e):
+        num = gamma * p_u
+        den = 1.0 + gamma * p_e
+        return np.log1p(num / den)
+
+    def _estimate(self, total):
+        return OutageEstimate.from_counts(int((total <= self.target_nats).sum()), self.draws)
+
+    def estimate(self, p_u, p_e):
+        p_u = np.broadcast_to(np.asarray(p_u, float), (self.f_count,))
+        p_e = np.broadcast_to(np.asarray(p_e, float), (self.f_count,))
+        return self._estimate(self._rate(self.gamma, p_u, p_e).sum(axis=1))
+
+    def attach(self, p_u, p_e):
+        self._p_u = np.array(np.broadcast_to(np.asarray(p_u, float), (self.f_count,)))
+        self._p_e = np.array(np.broadcast_to(np.asarray(p_e, float), (self.f_count,)))
+        self._total = self._rate(self.gamma, self._p_u, self._p_e).sum(axis=1)
+        return self._estimate(self._total)
+
+    def _delta(self, f, value):
+        g, p_e_f = self.gamma[:, f], self._p_e[f]
+        return self._rate(g, value, p_e_f) - self._rate(g, self._p_u[f], p_e_f)
+
+    def try_coordinate(self, f, value):
+        return self._estimate(self._total + self._delta(f, value))
+
+    def commit(self, f, value):
+        self._total += self._delta(f, value)
+        self._p_u[f] = value
+
+
+class TestCachedColumnsAreBitExact:
+    """The cached coordinate path gives the uncached oracle's bits."""
+
+    @pytest.mark.parametrize("f_count", [1, 3, 12])
+    @pytest.mark.parametrize("interfered", [False, True])
+    def test_call_sequence_matches_oracle(self, f_count, interfered):
+        rng = np.random.default_rng(100 + f_count + 7 * interfered)
+        args = (snr_db_to_gain(20.0), f_count, 1.0, 4_000, 31)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        p_e = rng.uniform(0.0, 0.5, f_count) if interfered else np.zeros(f_count)
+        p_u = rng.uniform(0.02, 0.2, f_count)
+
+        def same(a, b):
+            assert a.p_hat == b.p_hat
+            assert np.array_equal(new._total, old._total)
+
+        def commit(f, value):
+            new.commit(f, value)
+            old.commit(f, value)
+            assert np.array_equal(new._total, old._total)
+
+        same(new.attach(p_u, p_e), old.attach(p_u, p_e))
+        # a commit on a coordinate that was never tried
+        commit(int(rng.integers(f_count)), 0.05)
+        same(new.estimate(p_u, p_e), old.estimate(p_u, p_e))
+        for _ in range(40):
+            f = int(rng.integers(f_count))
+            value = float(rng.uniform(0.0, 0.3))
+            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
+            same(new.try_coordinate(f, 0.0), old.try_coordinate(f, 0.0))
+            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
+            commit(f, value)  # the value just tried
+            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
+            commit(f, float(rng.uniform(0.0, 0.3)))  # not the value last tried
+            g = int(rng.integers(f_count))
+            same(new.try_coordinate(g, 0.0), old.try_coordinate(g, 0.0))
+            commit(g, 0.0)
+            commit(g, 0.0)  # the same value twice
+            commit(int(rng.integers(f_count)), float(rng.uniform(0.0, 0.3)))
+        # a try made before a fresh attach is not reused
+        same(new.try_coordinate(0, 0.1), old.try_coordinate(0, 0.1))
+        same(new.attach(2.0 * p_u, p_e), old.attach(2.0 * p_u, p_e))
+        commit(0, 0.1)
+
+    def test_descent_on_a_c8_drop_matches_oracle(self):
+        grid = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
+        eps, draws = 1e-2, 20_000
+        r_e = spectral_efficiency(8640.0, grid, grid.F, grid.M)
+        r_u = spectral_efficiency(2160.0 / 7.0, grid, grid.F, 1)
+        gamma_u = snr_db_to_gain(56.68)
+        ch = drop(808, 0, snr_db_to_gain(50.0), gamma_u, grid.F)
+        p_e = embb_power(ch.gamma_e, r_e)
+        floor = sic_power(p_e, ch.gamma_e, r_u, Scheme.NOMA)
+        oracle = UncachedCommonRandomOutage(gamma_u, grid.F, r_u, draws, 5)
+        # a table-like start: the uniform level that survives the worst interference
+        level = 1e-3
+        while True:
+            est = oracle.estimate(np.full(grid.F, level), np.full(grid.F, p_e.max()))
+            if est.p_hat + est.ci_halfwidth <= eps:
+                break
+            level *= 1.25
+        start = np.maximum(level, floor)
+        options = BcdOptions(draws=draws)
+        new_p, new_sweeps = descend_urllc_power(
+            start, floor, p_e, CommonRandomOutage(gamma_u, grid.F, r_u, draws, 5), eps, options)
+        old_p, old_sweeps = descend_urllc_power(start, floor, p_e, oracle, eps, options)
+        assert np.array_equal(new_p, old_p)
+        assert new_sweeps == old_sweeps
+        # the descent both rejects moves and leaves entries above the floor
+        assert new_sweeps > 10 and np.any(new_p > floor)
 
 
 class TestDistributionalProperties:
