@@ -1,12 +1,13 @@
-"""The two URLLC allocation algorithms and the per-slot orchestrator.
+"""The broadband stage of a slot and the two URLLC allocation algorithms.
 
 The joint minimum-power problem decouples: the broadband powers follow
-from water-filling alone, the cancellation floor follows from the
-broadband solution, and only the URLLC reliability power needs search.
-The table-based allocator picks the uniform power that survives the
-worst tabulated interference; the descent allocator starts there and
-walks coordinates down toward the cancellation floor while a frozen-draw
-outage estimate stays inside the target.
+from water-filling alone and the cancellation floor from the broadband
+solution (:func:`embb_stage`, once per drop); only the URLLC reliability
+power needs search (:func:`allocate`).  The table-based allocator picks
+the uniform power that survives the worst tabulated interference; the
+descent allocator starts there and walks coordinates down toward the
+cancellation floor while a frozen-draw outage estimate stays inside the
+target.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channel import ChannelState
 from .errors import SlicePowerError
 from .grid import (
     ResourceGrid,
@@ -36,6 +36,8 @@ __all__ = [
     "Algorithm",
     "BcdOptions",
     "AllocationResult",
+    "EmbbStage",
+    "embb_stage",
     "feasible_urllc_power",
     "descend_urllc_power",
     "allocate",
@@ -66,6 +68,28 @@ class BcdOptions:
     tau: float = 1e-7
     draws: int = 10**6
     use_margin: bool = True
+
+
+@dataclass(frozen=True)
+class EmbbStage:
+    """The broadband half of one slot, from broadband CSI alone.
+
+    ``p_e`` and the cancellation floor ``p_u_sic`` span the full grid.  The
+    arrays are read-only copies, so one stage can serve every URLLC
+    placement and algorithm of a drop."""
+
+    gamma_e: np.ndarray
+    sets: ResourceSets
+    r_e: float
+    r_u: float
+    p_e: np.ndarray
+    p_u_sic: np.ndarray
+
+    def __post_init__(self):
+        for name in ("gamma_e", "p_e", "p_u_sic"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -159,83 +183,75 @@ def _as_full(values: np.ndarray, indices, f_total: int) -> np.ndarray:
     return full
 
 
-def allocate(
-    grid: ResourceGrid,
-    traffic: TrafficSpec,
-    channel: ChannelState,
-    scheme: Scheme,
-    algorithm: str,
-    f_u_count: int,
-    m_u_count: int,
-    seed: int,
-    table: OutageTable | None = None,
-    bcd: BcdOptions = BcdOptions(),
-    evidence_trials: int = 10**6,
-) -> AllocationResult:
-    """Run the full per-slot pipeline for one channel realization.
-
-    Selection -> resource sets -> broadband water-filling -> cancellation
-    floor -> URLLC power by the chosen algorithm, then an independent
-    Monte Carlo outage estimate of the final vectors as evidence.
-    """
-    scheme = Scheme(scheme)
-    if algorithm not in Algorithm.ALL:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {Algorithm.ALL}")
-    gamma_e = np.asarray(channel.gamma_e, dtype=float)
+def embb_stage(grid: ResourceGrid, traffic: TrafficSpec, gamma_e: np.ndarray, scheme: Scheme,
+               f_u_count: int, m_u_count: int) -> EmbbStage:
+    """Selection -> resource sets -> broadband water-filling -> cancellation
+    floor for one drop's broadband gains; nothing here needs URLLC input."""
+    gamma_e = np.asarray(gamma_e, dtype=float)
     if gamma_e.size != grid.F:
-        raise ValueError("channel state does not match the grid size")
+        raise ValueError("broadband gains do not match the grid size")
 
     sets = build_resource_sets(
         scheme, grid, select_urllc_frequencies(gamma_e, f_u_count), m_u_count, traffic
     )
     r_e = spectral_efficiency(traffic.N_e, grid, sets.F_e, grid.M)
     r_u = spectral_efficiency(traffic.N_u, grid, sets.F_u, sets.M_u)
-
     fe = list(sets.f_e)
     fu = list(sets.f_u)
     p_e = _as_full(embb_power(gamma_e[fe], r_e), fe, grid.F)
-    p_e_on_fu = p_e[fu]
-    p_sic_on_fu = sic_power(p_e_on_fu, gamma_e[fu], r_u, scheme)
+    p_u_sic = _as_full(sic_power(p_e[fu], gamma_e[fu], r_u, scheme), fu, grid.F)
+    return EmbbStage(gamma_e=gamma_e, sets=sets, r_e=r_e, r_u=r_u, p_e=p_e, p_u_sic=p_u_sic)
 
+
+def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, seed: int,
+             table: OutageTable | None = None, bcd: BcdOptions = BcdOptions(),
+             evidence_trials: int = 10**6) -> AllocationResult:
+    """URLLC power by the chosen algorithm on top of a broadband stage, for
+    the URLLC mean gain ``gamma_u`` [per mW], then an independent Monte
+    Carlo outage estimate of the final vectors as evidence."""
+    if algorithm not in Algorithm.ALL:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {Algorithm.ALL}")
+    if not gamma_u > 0.0:
+        raise ValueError(f"mean SNR must be positive, got {gamma_u!r}")
+    sets, r_u = embb.sets, embb.r_u
     if table is None:
         raise SlicePowerError(
             "an outage table is required; build one with "
             "`slicepower table build` for this (mean SNR, F_u, r_u)"
         )
-    if not table.matches(channel.Gamma_u, sets.F_u, r_u):
+    if not table.matches(gamma_u, sets.F_u, r_u):
         raise SlicePowerError(
             f"table mismatch: table is for (Gamma_u={table.gamma_u:g}, "
             f"F_u={table.f_count}, r_u={table.r_u:g}) but the run needs "
-            f"(Gamma_u={channel.Gamma_u:g}, F_u={sets.F_u}, r_u={r_u:g})"
+            f"(Gamma_u={gamma_u:g}, F_u={sets.F_u}, r_u={r_u:g})"
         )
 
-    p_u_on_fu = feasible_urllc_power(p_e_on_fu, p_sic_on_fu, table, traffic.epsilon_u)
+    fu = list(sets.f_u)
+    p_e_on_fu = embb.p_e[fu]
+    p_sic_on_fu = embb.p_u_sic[fu]
+    p_u_on_fu = feasible_urllc_power(p_e_on_fu, p_sic_on_fu, table, epsilon_u)
     iterations = 0
     if algorithm == Algorithm.BCD:
         # built in the call, so its draws are freed before the evidence run
         crn_seed = int(rngmod.derive_seed_sequence(seed, "bcd-draws").generate_state(1)[0])
         p_u_on_fu, iterations = descend_urllc_power(
             p_u_on_fu, p_sic_on_fu, p_e_on_fu,
-            CommonRandomOutage(channel.Gamma_u, sets.F_u, r_u, bcd.draws, seed=crn_seed),
-            traffic.epsilon_u, bcd,
+            CommonRandomOutage(gamma_u, sets.F_u, r_u, bcd.draws, seed=crn_seed),
+            epsilon_u, bcd,
         )
 
-    p_u = _as_full(p_u_on_fu, fu, grid.F)
-    p_u_sic = _as_full(p_sic_on_fu, fu, grid.F)
+    p_u = _as_full(p_u_on_fu, fu, sets.grid.F)
     evidence_seed = int(rngmod.derive_seed_sequence(seed, "evidence").generate_state(1)[0])
-    p_u_hat = estimate_outage(
-        p_u_on_fu, p_e_on_fu, channel.Gamma_u, r_u, evidence_trials, evidence_seed
-    )
-    if scheme is Scheme.NOMA:
-        sic_ok = mutual_info_sic(p_u_on_fu, p_e_on_fu, gamma_e[fu], scheme) >= r_u * (
-            1.0 - _SIC_REL_TOL
-        )
+    p_u_hat = estimate_outage(p_u_on_fu, p_e_on_fu, gamma_u, r_u, evidence_trials, evidence_seed)
+    if sets.scheme is Scheme.NOMA:
+        sic_rate = mutual_info_sic(p_u_on_fu, p_e_on_fu, embb.gamma_e[fu], sets.scheme)
+        sic_ok = sic_rate >= r_u * (1.0 - _SIC_REL_TOL)
     else:
-        sic_ok = bool(np.all(p_u * p_e == 0.0))
+        sic_ok = bool(np.all(p_u * embb.p_e == 0.0))
 
-    total = grid.M * float(p_e.sum()) + sets.M_u * float(p_u.sum())
+    total = sets.grid.M * float(embb.p_e.sum()) + sets.M_u * float(p_u.sum())
     return AllocationResult(
-        sets=sets, p_e=p_e, p_u=p_u, p_u_sic=p_u_sic, r_e=r_e, r_u=r_u,
+        sets=sets, p_e=embb.p_e, p_u=p_u, p_u_sic=embb.p_u_sic, r_e=embb.r_e, r_u=r_u,
         p_total_mw=total, p_u_hat=p_u_hat, sic_satisfied=sic_ok,
         algorithm=algorithm, iterations=iterations,
     )

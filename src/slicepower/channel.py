@@ -18,7 +18,6 @@ from .units import C_LIGHT, db_to_linear
 
 __all__ = [
     "Geometry",
-    "ChannelState",
     "sample_snr",
     "drop",
     "distance_from_mean_snr",
@@ -48,26 +47,6 @@ class Geometry:
             raise ValueError("need 0 < d0 <= cell_radius")
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Channel knowledge available to the scheduler for one slot.
-
-    ``gamma_e`` holds the known instantaneous per-frequency gains of the
-    broadband user; for the URLLC user only the mean gain ``Gamma_u`` is
-    known.  All gains are per-mW normalized and constant over the slot.
-    """
-
-    gamma_e: np.ndarray
-    Gamma_u: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma_e", np.asarray(self.gamma_e, dtype=float))
-        if np.any(self.gamma_e < 0.0):
-            raise ValueError("instantaneous SNRs must be non-negative")
-        if self.Gamma_u <= 0.0:
-            raise ValueError("mean SNR must be positive")
-
-
 def sample_snr(mean: float, count: int, rng) -> np.ndarray:
     """i.i.d. Rayleigh-fading SNR draws: exponential with the given mean.
 
@@ -81,13 +60,11 @@ def sample_snr(mean: float, count: int, rng) -> np.ndarray:
     return mean * rng.standard_exponential(count)
 
 
-def drop(seed: int, index: int, gamma_e_mean: float, gamma_u_mean: float,
-         f_count: int) -> ChannelState:
-    """Fading drop ``index``: ``f_count`` broadband gains around ``gamma_e_mean``
-    and the URLLC mean gain, per mW.  The draw depends on ``(seed, index)``
-    only, so every scheme, algorithm and placement of a run shares it."""
-    gamma_e = sample_snr(gamma_e_mean, f_count, rngmod.substream(seed, "drop", index))
-    return ChannelState(gamma_e=gamma_e, Gamma_u=gamma_u_mean)
+def drop(seed: int, index: int, gamma_e_mean: float, f_count: int) -> np.ndarray:
+    """Broadband gains of fading drop ``index``: ``f_count`` draws around
+    ``gamma_e_mean``, per mW.  The draw depends on ``(seed, index)`` only,
+    so every scheme, algorithm and placement of a run shares it."""
+    return sample_snr(gamma_e_mean, f_count, rngmod.substream(seed, "drop", index))
 
 
 def _path_gain_numerator(geom: Geometry) -> float:

@@ -15,11 +15,10 @@ import sys
 
 import numpy as np
 
-from .alloc import Algorithm, allocate
+from .alloc import Algorithm, allocate, embb_stage
 from .channel import drop
 from .config import load_config, scheme_f_u_count
 from .errors import SlicePowerError
-from .grid import spectral_efficiency
 from .sweep import run_sweep, table_build_command
 from .table import build_table, load_table, min_feasible_power, save_table
 from .units import dbm_to_mw, mw_to_dbm, snr_db_to_gain
@@ -69,23 +68,23 @@ def _cmd_allocate(args) -> int:
     grid = cfg.grid()
     traffic = cfg.traffic()
     scheme, f_u_count = scheme_f_u_count(args.scheme, grid.F)
-    r_u = spectral_efficiency(traffic.N_u, grid, f_u_count, cfg.m_u)
-    channel = drop(args.seed, 0, cfg.mean_gain(args.de), cfg.mean_gain(args.du), grid.F)
+    embb = embb_stage(grid, traffic, drop(args.seed, 0, cfg.mean_gain(args.de), grid.F),
+                      scheme, f_u_count, cfg.m_u)
+    gamma_u = cfg.mean_gain(args.du)
+    f_u, r_u = embb.sets.F_u, embb.r_u
 
     if args.table:
         table = load_table(args.table)
     elif args.auto_table:
-        table = build_table(channel.Gamma_u, f_u_count, r_u, cfg.table_trials, args.seed,
-                            m_u=cfg.m_u)
+        table = build_table(gamma_u, f_u, r_u, cfg.table_trials, args.seed, m_u=cfg.m_u)
     else:
         raise SlicePowerError(
             "pass --table PATH or --auto-table; build one with\n  "
-            + table_build_command(channel.Gamma_u, f_u_count, r_u, cfg.table_trials,
-                                  args.seed, "table.npz")
+            + table_build_command(gamma_u, f_u, r_u, cfg.table_trials, args.seed, "table.npz")
         )
 
     result = allocate(
-        grid, traffic, channel, scheme, args.algo, f_u_count, cfg.m_u, args.seed,
+        embb, gamma_u, args.algo, traffic.epsilon_u, args.seed,
         table=table, bcd=cfg.bcd_options(), evidence_trials=cfg.evidence_trials,
     )
     print(f"scheme={args.scheme} algorithm={args.algo} d_u={args.du!r} d_e={args.de!r} "

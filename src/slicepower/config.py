@@ -123,7 +123,10 @@ def _parse_value(name: str, raw: str, kind):
             return False
         raise ValueError(f"boolean field {name!r} got {raw!r}")
     if kind is int:
-        return int(float(raw))
+        value = float(raw)
+        if not value.is_integer():
+            raise ValueError(f"integer field {name!r} got {raw!r}")
+        return int(value)
     if kind is float:
         return float(raw)
     return raw
@@ -169,8 +172,9 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
     for algo in cfg.algorithms:
         if algo not in Algorithm.ALL:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
-    if cfg.drops < 1:
-        raise ValueError("drops must be >= 1")
+    for name in ("drops",) + _SAMPLE_FIELDS:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     _warn_small_samples(cfg)
     return cfg
 

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .alloc import Algorithm, allocate
+from .alloc import Algorithm, allocate, embb_stage
 from .channel import distance_from_mean_snr, drop
 from .config import ScenarioConfig, scheme_f_u_count
 from .errors import SlicePowerError
-from .grid import Scheme, spectral_efficiency
+from .grid import Scheme
 from .table import OutageTable, build_table, load_table, save_table
 from .units import db_to_linear, dbm_to_watt, gain_to_snr_db, mw_to_dbm
 
@@ -103,7 +103,9 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
 
     Drop ``i`` has the same fading for every scheme, algorithm and
     placement (:func:`slicepower.channel.drop`), so comparisons see
-    common channels.
+    common channels.  Its broadband stage (:func:`slicepower.alloc.embb_stage`)
+    is computed once per (eMBB placement, scheme) and serves every URLLC
+    placement and algorithm.
     OMA points run the table algorithm only (the descent cannot improve
     a uniform no-interference optimum by more than the grid step).
     """
@@ -122,19 +124,21 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
         log.info("empty sweep axis; nothing to do")
         return records
 
+    bcd = cfg.bcd_options()
     for d_e in d_e_axis:
         gamma_e_mean = cfg.mean_gain(d_e)
+        gains = [drop(cfg.seed, i, gamma_e_mean, grid.F) for i in range(cfg.drops)]
+        stages = {label: [embb_stage(grid, traffic, g, *scheme_f_u_count(label, grid.F), cfg.m_u)
+                          for g in gains] for label in cfg.schemes}
         for d_u in d_u_axis:
             gamma_u_mean = cfg.mean_gain(d_u)
             for scheme_label in cfg.schemes:
-                scheme, f_u_count = scheme_f_u_count(scheme_label, grid.F)
-                r_u = spectral_efficiency(traffic.N_u, grid, f_u_count, cfg.m_u)
-                table = ensure_table(cfg, gamma_u_mean, f_u_count, r_u)
-                algos = cfg.algorithms if scheme is Scheme.NOMA else (Algorithm.FEASIBLE,)
+                first = stages[scheme_label][0]  # every drop needs the same (F_u, r_u)
+                table = ensure_table(cfg, gamma_u_mean, first.sets.F_u, first.r_u)
+                algos = cfg.algorithms if first.sets.scheme is Scheme.NOMA else (Algorithm.FEASIBLE,)
                 for algo in algos:
                     totals, urllc, embb, p_hats = [], [], [], []
-                    for i in range(cfg.drops):
-                        channel = drop(cfg.seed, i, gamma_e_mean, gamma_u_mean, grid.F)
+                    for i, stage in enumerate(stages[scheme_label]):
                         drop_seed = int(
                             rngmod.derive_seed_sequence(
                                 cfg.seed, "alloc", scheme_label, algo,
@@ -142,9 +146,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
                             ).generate_state(1)[0]
                         )
                         result = allocate(
-                            grid, traffic, channel, scheme, algo,
-                            f_u_count, cfg.m_u, drop_seed, table=table,
-                            bcd=cfg.bcd_options(), evidence_trials=cfg.evidence_trials,
+                            stage, gamma_u_mean, algo, traffic.epsilon_u, drop_seed,
+                            table=table, bcd=bcd, evidence_trials=cfg.evidence_trials,
                         )
                         totals.append(result.p_total_mw)
                         urllc.append(result.urllc_power_mw)

@@ -43,20 +43,19 @@ from slicepower import (
     build_table,
     distance_from_mean_snr,
     embb_power,
+    embb_stage,
     estimate_outage,
     il_power,
     min_feasible_power,
     mutual_info_e,
     mutual_info_il,
     mutual_info_sic,
-    select_urllc_frequencies,
+    scheme_f_u_count,
     sic_power,
     single_freq_power,
-    spectral_efficiency,
 )
 from slicepower.alloc import BcdOptions
 from slicepower.channel import Geometry, drop
-from slicepower.rng import substream
 from slicepower.table import cell_seed
 from slicepower.units import db_to_linear, dbm_to_mw, dbm_to_watt, mw_to_dbm, snr_db_to_gain
 from slicepower.waterfill import substitute_zero_interference
@@ -208,20 +207,13 @@ class TestC05SingleFrequencyClosedForm:
 
 def _embb_mean_dbm(snr_db: float, scheme_label: str, drops: int) -> float:
     gamma_mean = snr_db_to_gain(snr_db)
-    if scheme_label == "noma":
-        f_u_count = GRID.F
-    else:
-        f_u_count = int(scheme_label.split("-")[1])
+    scheme, f_u_count = scheme_f_u_count(scheme_label, GRID.F)
+    # the outage target plays no part in the broadband stage
+    traffic = TrafficSpec(N_e=N_E, N_u=N_U, epsilon_u=1e-5, M_u_max=7)
     totals = np.empty(drops)
     for i in range(drops):
-        gamma = gamma_mean * substream(606, "drop", i).standard_exponential(GRID.F)
-        f_u = select_urllc_frequencies(gamma, f_u_count)
-        if scheme_label == "noma":
-            f_e = list(range(GRID.F))
-        else:
-            f_e = [f for f in range(GRID.F) if f not in set(f_u)]
-        r_e = spectral_efficiency(N_E, GRID, len(f_e), GRID.M)
-        totals[i] = GRID.M * embb_power(gamma[f_e], r_e).sum()
+        embb = embb_stage(GRID, traffic, drop(606, i, gamma_mean, GRID.F), scheme, f_u_count, 1)
+        totals[i] = GRID.M * embb.p_e.sum()
     return mw_to_dbm(float(totals.mean()))
 
 
@@ -267,35 +259,33 @@ class TestC07MonotonicityUnderCommonDraws:
         assert violations == 0
 
 
-def _scenario_tables_and_drops(gamma_e_mean, gamma_u_mean, drops, seed, trials):
-    """Shared setup for C8/C9: channels, broadband powers, restricted table."""
-    r_u = spectral_efficiency(N_U, GRID, GRID.F, 1)
-    channels = [drop(seed, i, gamma_e_mean, gamma_u_mean, GRID.F) for i in range(drops)]
-    pe_rows = set()
-    for ch in channels:
-        p_e = embb_power(ch.gamma_e, spectral_efficiency(N_E, GRID, GRID.F, GRID.M))
-        pe_rows.add(math.ceil(mw_to_dbm(float(p_e.max()))))
+def _scenario_tables_and_drops(traffic, gamma_e_mean, gamma_u_mean, drops, seed, trials):
+    """Shared setup for C8/C9: NOMA broadband stages, table restricted to their rows."""
+    stages = [embb_stage(GRID, traffic, drop(seed, i, gamma_e_mean, GRID.F), Scheme.NOMA,
+                         GRID.F, 1) for i in range(drops)]
+    pe_rows = {math.ceil(mw_to_dbm(float(embb.p_e.max()))) for embb in stages}
     axis_pe = np.concatenate(([-math.inf], np.array(sorted(pe_rows), dtype=float)))
-    table = build_table(gamma_u_mean, GRID.F, r_u, trials=trials, seed=seed,
+    table = build_table(gamma_u_mean, GRID.F, stages[0].r_u, trials=trials, seed=seed,
                         axis_pe_dbm=axis_pe)
-    return channels, table
+    return stages, table
 
 
 class TestC08DominanceAndFeasibility:
     def test_c08_descent_never_loses_and_stays_feasible(self):
         eps, drops = 1e-2, 100
         traffic = TrafficSpec(N_e=N_E, N_u=N_U, epsilon_u=eps, M_u_max=7)
-        channels, table = _scenario_tables_and_drops(
-            gamma_e_mean=snr_db_to_gain(50.0), gamma_u_mean=snr_db_to_gain(56.68),
+        gamma_u = snr_db_to_gain(56.68)
+        stages, table = _scenario_tables_and_drops(
+            traffic, gamma_e_mean=snr_db_to_gain(50.0), gamma_u_mean=gamma_u,
             drops=drops, seed=808, trials=10**5,
         )
         bcd_opts = BcdOptions(draws=10**5)
         dominance_violations = 0
         worst_sic_gap = 0.0
-        for i, ch in enumerate(channels):
-            fea = allocate(GRID, traffic, ch, Scheme.NOMA, "fea", GRID.F, 1,
+        for i, embb in enumerate(stages):
+            fea = allocate(embb, gamma_u, "fea", eps,
                            seed=i, table=table, evidence_trials=10**5)
-            bcd = allocate(GRID, traffic, ch, Scheme.NOMA, "bcd", GRID.F, 1,
+            bcd = allocate(embb, gamma_u, "bcd", eps,
                            seed=i, table=table, bcd=bcd_opts, evidence_trials=10**5)
             if bcd.urllc_power_mw > fea.urllc_power_mw + 1e-12:
                 dominance_violations += 1
@@ -304,7 +294,7 @@ class TestC08DominanceAndFeasibility:
             fu = list(bcd.sets.f_u)
             for res in (fea, bcd):
                 sic_rate = mutual_info_sic(res.p_u[fu], res.p_e[fu],
-                                           ch.gamma_e[fu], Scheme.NOMA)
+                                           embb.gamma_e[fu], Scheme.NOMA)
                 worst_sic_gap = max(worst_sic_gap, res.r_u - sic_rate)
                 assert sic_rate >= res.r_u * (1.0 - 1e-9)
         report("C8 dominance and feasibility", dominance_violations == 0,
@@ -318,15 +308,15 @@ class TestC09CancellationFloor:
         eps, drops = 1e-2, 100
         traffic = TrafficSpec(N_e=N_E, N_u=N_U, epsilon_u=eps, M_u_max=7)
         d_e, d_u = 261.2, 50.0
-        channels, table = _scenario_tables_and_drops(
-            gamma_e_mean=ScenarioConfig().mean_gain(d_e),
-            gamma_u_mean=ScenarioConfig().mean_gain(d_u),
+        gamma_u = ScenarioConfig().mean_gain(d_u)
+        stages, table = _scenario_tables_and_drops(
+            traffic, gamma_e_mean=ScenarioConfig().mean_gain(d_e), gamma_u_mean=gamma_u,
             drops=drops, seed=909, trials=10**5,
         )
         bcd_opts = BcdOptions(draws=10**5)
         near_floor = 0
-        for i, ch in enumerate(channels):
-            bcd = allocate(GRID, traffic, ch, Scheme.NOMA, "bcd", GRID.F, 1,
+        for i, embb in enumerate(stages):
+            bcd = allocate(embb, gamma_u, "bcd", eps,
                            seed=i, table=table, bcd=bcd_opts, evidence_trials=10**4)
             floor = float(bcd.p_u_sic.sum())
             if floor > 0.0 and abs(mw_to_dbm(bcd.p_u.sum()) - mw_to_dbm(floor)) <= 0.5:

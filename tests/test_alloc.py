@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from slicepower import (
-    ChannelState,
     CommonRandomOutage,
+    EmbbStage,
     ResourceGrid,
     Scheme,
     SlicePowerError,
     TrafficSpec,
     allocate,
     build_table,
+    embb_stage,
     min_feasible_power,
     mutual_info_e,
     mutual_info_sic,
@@ -47,13 +48,17 @@ def oma3_table():
     )
 
 
-def channel(i: int) -> ChannelState:
-    return drop(202, i, GAMMA_E, GAMMA_U, GRID.F)
+def gains(i: int) -> np.ndarray:
+    return drop(202, i, GAMMA_E, GRID.F)
+
+
+def stage(i: int, scheme=Scheme.NOMA, f_u_count: int = 12, m_u_count: int = 1) -> EmbbStage:
+    return embb_stage(GRID, TRAFFIC, gains(i), scheme, f_u_count, m_u_count)
 
 
 class TestFeasibleAllocator:
     def test_oma_output_is_uniform_grid_level(self, oma3_table):
-        result = allocate(GRID, TRAFFIC, channel(0), Scheme.OMA, "fea", 3, 1,
+        result = allocate(stage(0, Scheme.OMA, 3), GAMMA_U, "fea", EPS,
                           seed=1, table=oma3_table, evidence_trials=30_000)
         level_dbm = min_feasible_power(oma3_table, 0.0, EPS)
         on_fu = result.p_u[list(result.sets.f_u)]
@@ -63,20 +68,20 @@ class TestFeasibleAllocator:
         assert j > 0 and oma3_table.values[0, j - 1] > EPS
 
     def test_oma_orthogonality_exact(self, oma3_table):
-        result = allocate(GRID, TRAFFIC, channel(1), Scheme.OMA, "fea", 3, 1,
+        result = allocate(stage(1, Scheme.OMA, 3), GAMMA_U, "fea", EPS,
                           seed=2, table=oma3_table, evidence_trials=20_000)
         assert np.all(result.p_u * result.p_e == 0.0)
         assert result.sic_satisfied
 
     def test_noma_feasibility_over_drops(self, noma_table):
         for drop in range(8):
-            result = allocate(GRID, TRAFFIC, channel(drop), Scheme.NOMA, "fea", 12, 1,
+            result = allocate(stage(drop), GAMMA_U, "fea", EPS,
                               seed=drop, table=noma_table, evidence_trials=30_000)
             fu = list(result.sets.f_u)
             assert np.all(result.p_u[fu] >= result.p_u_sic[fu] - 1e-15)
             assert result.p_u_hat.p_hat <= EPS + result.p_u_hat.ci_halfwidth
             assert result.sic_satisfied
-            gamma = channel(drop).gamma_e
+            gamma = gains(drop)
             assert mutual_info_e(result.p_e[list(result.sets.f_e)],
                                  gamma[list(result.sets.f_e)]) == pytest.approx(
                 result.r_e, rel=1e-9
@@ -87,11 +92,10 @@ class TestFeasibleAllocator:
         # skips them: the worst interference is zero and the uniform part
         # of the answer equals the orthogonal one
         gamma_e = np.concatenate((np.full(3, 100.0), np.full(9, 1e4)))
-        ch = ChannelState(gamma_e=gamma_e, Gamma_u=GAMMA_U)
-        noma = allocate(GRID, TRAFFIC, ch, Scheme.NOMA, "fea", 3, 1,
-                        seed=3, table=oma3_table, evidence_trials=10_000)
-        oma = allocate(GRID, TRAFFIC, ch, Scheme.OMA, "fea", 3, 1,
-                       seed=3, table=oma3_table, evidence_trials=10_000)
+        noma = allocate(embb_stage(GRID, TRAFFIC, gamma_e, Scheme.NOMA, 3, 1), GAMMA_U, "fea",
+                        EPS, seed=3, table=oma3_table, evidence_trials=10_000)
+        oma = allocate(embb_stage(GRID, TRAFFIC, gamma_e, Scheme.OMA, 3, 1), GAMMA_U, "fea",
+                       EPS, seed=3, table=oma3_table, evidence_trials=10_000)
         fu = list(noma.sets.f_u)
         assert np.all(noma.p_e[fu] == 0.0)
         assert np.allclose(noma.p_u, oma.p_u)
@@ -107,16 +111,17 @@ class TestFeasibleAllocator:
 class TestDescentAllocator:
     def test_dominates_feasible_start_and_stays_feasible(self, noma_table):
         for drop in range(6):
-            fea = allocate(GRID, TRAFFIC, channel(drop), Scheme.NOMA, "fea", 12, 1,
+            embb = stage(drop)
+            fea = allocate(embb, GAMMA_U, "fea", EPS,
                            seed=drop, table=noma_table, evidence_trials=30_000)
-            bcd = allocate(GRID, TRAFFIC, channel(drop), Scheme.NOMA, "bcd", 12, 1,
+            bcd = allocate(embb, GAMMA_U, "bcd", EPS,
                            seed=drop, table=noma_table, bcd=BCD, evidence_trials=30_000)
             assert bcd.urllc_power_mw <= fea.urllc_power_mw + 1e-12
             fu = list(bcd.sets.f_u)
             assert np.all(bcd.p_u[fu] >= bcd.p_u_sic[fu] - 1e-15)
             assert bcd.p_u_hat.p_hat <= EPS + bcd.p_u_hat.ci_halfwidth
             assert bcd.sic_satisfied
-            assert mutual_info_sic(bcd.p_u[fu], bcd.p_e[fu], channel(drop).gamma_e[fu],
+            assert mutual_info_sic(bcd.p_u[fu], bcd.p_e[fu], gains(drop)[fu],
                                    Scheme.NOMA) >= bcd.r_u * (1 - 1e-9)
 
     def test_fully_pinned_start_is_returned_unchanged(self):
@@ -163,22 +168,26 @@ class TestDescentAllocator:
 class TestValidation:
     def test_missing_table_names_build_command(self):
         with pytest.raises(SlicePowerError, match="table build"):
-            allocate(GRID, TRAFFIC, channel(0), Scheme.NOMA, "fea", 12, 1, seed=1)
+            allocate(stage(0), GAMMA_U, "fea", EPS, seed=1)
 
     def test_mismatched_table_rejected(self, oma3_table):
         with pytest.raises(SlicePowerError, match="mismatch"):
-            allocate(GRID, TRAFFIC, channel(0), Scheme.NOMA, "fea", 12, 1,
-                     seed=1, table=oma3_table)
+            allocate(stage(0), GAMMA_U, "fea", EPS, seed=1, table=oma3_table)
 
     def test_unknown_algorithm(self, noma_table):
         with pytest.raises(ValueError):
-            allocate(GRID, TRAFFIC, channel(0), Scheme.NOMA, "newton", 12, 1,
-                     seed=1, table=noma_table)
+            allocate(stage(0), GAMMA_U, "newton", EPS, seed=1, table=noma_table)
+
+    @pytest.mark.parametrize("gamma_u", [0.0, -GAMMA_U, math.nan])
+    def test_non_positive_mean_gain_rejected(self, noma_table, gamma_u):
+        # checked before the table, whose mismatch error would mislead
+        with pytest.raises(ValueError, match="mean SNR must be positive"):
+            allocate(stage(0), gamma_u, "fea", EPS, seed=1, table=noma_table)
 
 
 class TestResultBookkeeping:
     def test_total_power_accounts_for_minislots(self, noma_table):
-        result = allocate(GRID, TRAFFIC, channel(2), Scheme.NOMA, "fea", 12, 2,
+        result = allocate(stage(2, m_u_count=2), GAMMA_U, "fea", EPS,
                           seed=9, table=build_table(
                               GAMMA_U, 12, 0.5, trials=10_000, seed=77,
                               axis_pu_dbm=np.arange(-15.0, 16.0),
@@ -190,9 +199,37 @@ class TestResultBookkeeping:
         assert result.urllc_power_mw == pytest.approx(2 * result.p_u.sum())
 
     def test_algorithm_and_iterations_recorded(self, noma_table):
-        fea = allocate(GRID, TRAFFIC, channel(3), Scheme.NOMA, "fea", 12, 1,
+        fea = allocate(stage(3), GAMMA_U, "fea", EPS,
                        seed=4, table=noma_table, evidence_trials=10_000)
-        bcd = allocate(GRID, TRAFFIC, channel(3), Scheme.NOMA, "bcd", 12, 1,
+        bcd = allocate(stage(3), GAMMA_U, "bcd", EPS,
                        seed=4, table=noma_table, bcd=BCD, evidence_trials=10_000)
         assert fea.algorithm == "fea" and fea.iterations == 0
         assert bcd.algorithm == "bcd" and bcd.iterations >= 1
+
+
+class TestEmbbStage:
+    def test_arrays_are_read_only_copies(self):
+        gamma_e = gains(4)
+        embb = embb_stage(GRID, TRAFFIC, gamma_e, Scheme.NOMA, 12, 1)
+        assert gamma_e.flags.writeable  # the caller's array is not re-flagged
+        for values in (embb.gamma_e, embb.p_e, embb.p_u_sic):
+            assert not np.shares_memory(values, gamma_e)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                values *= 2.0
+
+    def test_shared_stage_matches_fresh_stages(self, noma_table):
+        # the sweep runs both algorithms of a drop on one stage
+        shared = stage(5)
+        for algo in ("fea", "bcd"):
+            on_shared = allocate(shared, GAMMA_U, algo, EPS, seed=6, table=noma_table,
+                                 bcd=BCD, evidence_trials=10_000)
+            on_fresh = allocate(stage(5), GAMMA_U, algo, EPS, seed=6, table=noma_table,
+                                bcd=BCD, evidence_trials=10_000)
+            for name in ("p_e", "p_u", "p_u_sic"):
+                assert getattr(on_shared, name).tobytes() == getattr(on_fresh, name).tobytes()
+            assert on_shared.p_total_mw == on_fresh.p_total_mw
+            assert on_shared.p_u_hat == on_fresh.p_u_hat
+            assert on_shared.iterations == on_fresh.iterations
+        assert shared.p_e.tobytes() == stage(5).p_e.tobytes()

@@ -1,10 +1,8 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from slicepower import Geometry, distance_from_mean_snr, mean_snr_from_distance, sample_snr
-from slicepower.channel import ChannelState, drop
+from slicepower.channel import drop
 from slicepower.rng import substream
 from slicepower.units import db_to_linear, dbm_to_watt, linear_to_db
 
@@ -62,12 +60,12 @@ class TestDrop:
     def test_fading_is_the_drop_substream(self, seed, index):
         # the sweep CSVs and the benchmark digests depend on this stream
         expected = 2.5 * substream(seed, "drop", index).standard_exponential(12)
-        assert drop(seed, index, 2.5, 0.7, 12).gamma_e.tobytes() == expected.tobytes()
+        assert drop(seed, index, 2.5, 12).tobytes() == expected.tobytes()
 
-    def test_state_is_what_the_scheduler_knows(self):
-        ch = drop(4, 2, 10.0, 0.3, 6)
-        assert [f.name for f in fields(ChannelState)] == ["gamma_e", "Gamma_u"]
-        assert ch.Gamma_u == 0.3 and ch.gamma_e.shape == (6,)
+    def test_drop_is_the_broadband_gain_vector(self):
+        gamma_e = drop(4, 2, 10.0, 6)
+        assert isinstance(gamma_e, np.ndarray)
+        assert gamma_e.dtype == np.float64 and gamma_e.shape == (6,)
 
 
 class TestDistanceInversion:

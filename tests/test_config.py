@@ -84,6 +84,22 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown algorithm"):
             load_config(path)
 
+    def test_non_integral_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("drops = 2.5\n")
+        with pytest.raises(ValueError, match="'drops'"):
+            load_config(path)
+        path.write_text("table_trials = 1e7\n")  # integral, in float notation
+        assert load_config(path).table_trials == 10**7
+
+    @pytest.mark.parametrize("line", ["table_trials = 0", "crn_draws = 0", "evidence_trials = -3"])
+    def test_sample_count_below_one_rejected(self, tmp_path, line):
+        # rejected at load time, before any table is built
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=line.split()[0] + " must be >= 1"):
+            load_config(path)
+
     def test_programmatic_overrides(self):
         cfg = load_config(None, overrides={"seed": 9, "drops": 3})
         assert cfg.seed == 9 and cfg.drops == 3

@@ -278,9 +278,9 @@ class TestCachedColumnsAreBitExact:
         r_e = spectral_efficiency(8640.0, grid, grid.F, grid.M)
         r_u = spectral_efficiency(2160.0 / 7.0, grid, grid.F, 1)
         gamma_u = snr_db_to_gain(56.68)
-        ch = drop(808, 0, snr_db_to_gain(50.0), gamma_u, grid.F)
-        p_e = embb_power(ch.gamma_e, r_e)
-        floor = sic_power(p_e, ch.gamma_e, r_u, Scheme.NOMA)
+        gamma_e = drop(808, 0, snr_db_to_gain(50.0), grid.F)
+        p_e = embb_power(gamma_e, r_e)
+        floor = sic_power(p_e, gamma_e, r_u, Scheme.NOMA)
         oracle = UncachedCommonRandomOutage(gamma_u, grid.F, r_u, draws, 5)
         # a table-like start: the uniform level that survives the worst interference
         level = 1e-3

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from slicepower import SlicePowerError, load_config
+import slicepower.sweep
+from slicepower import SlicePowerError, embb_stage, load_config, scheme_f_u_count
+from slicepower.channel import drop
 from slicepower.sweep import ensure_table, run_sweep, table_path
 
 FAST = dict(
@@ -87,6 +89,26 @@ class TestRunSweep:
         assert via_g[0].d_u_m == pytest.approx(100.0, abs=1e-3)
         assert via_d[0].mean_embb_dbm == via_g[0].mean_embb_dbm
 
+    def test_each_broadband_stage_is_computed_once(self, tmp_path, monkeypatch):
+        # one d_e, two d_u, noma + oma-3, fea + bcd, 3 drops: one draw per
+        # drop and one stage per (scheme, drop), shared by the rest
+        calls = {"drop": 0, "embb_stage": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            original = getattr(slicepower.sweep, name)
+            monkeypatch.setattr(slicepower.sweep, name, counting(name, original))
+        cfg = fast_config(tmp_path)
+        assert cfg.algorithms == ("fea", "bcd") and len(cfg.d_e) == 1 and len(cfg.d_u) == 2
+        records = run_sweep(cfg, out_dir=None)
+        assert len(records) == 2 * (2 + 1)
+        assert calls == {"drop": 3, "embb_stage": 6}
+
     def test_noma_beats_oma_at_far_urllc(self, tmp_path):
         # total power comparison at a distant URLLC placement
         cfg = fast_config(tmp_path, d_u=(300.0,), drops=6,
@@ -103,27 +125,20 @@ class TestBroadbandRow40dB:
     REFS = {"noma": 23.36, "oma-3": 24.32, "oma-6": 29.09, "oma-9": 48.54}
 
     def test_mean_embb_power_row(self):
-        from slicepower import embb_power, select_urllc_frequencies, spectral_efficiency
-        from slicepower.grid import ResourceGrid
-        from slicepower.rng import substream
         from slicepower.units import mw_to_dbm, snr_db_to_gain
 
-        grid = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
-        gamma_mean = snr_db_to_gain(40.0)
+        cfg = load_config(None)
+        grid, traffic = cfg.grid(), cfg.traffic()
         drops = 3000
-        fading = [substream(33, "drop", i).standard_exponential(12) for i in range(drops)]
-        for scheme, ref in self.REFS.items():
-            f_u_count = 12 if scheme == "noma" else int(scheme.split("-")[1])
+        gains = [drop(33, i, snr_db_to_gain(40.0), grid.F) for i in range(drops)]
+        for label, ref in self.REFS.items():
+            scheme, f_u_count = scheme_f_u_count(label, grid.F)
             totals = np.empty(drops)
-            for i, xi in enumerate(fading):
-                gamma = gamma_mean * xi
-                f_u = set(select_urllc_frequencies(gamma, f_u_count))
-                f_e = (list(range(12)) if scheme == "noma"
-                       else [f for f in range(12) if f not in f_u])
-                r_e = spectral_efficiency(8640.0, grid, len(f_e), 7)
-                totals[i] = 7 * embb_power(gamma[f_e], r_e).sum()
+            for i, gamma_e in enumerate(gains):
+                embb = embb_stage(grid, traffic, gamma_e, scheme, f_u_count, cfg.m_u)
+                totals[i] = grid.M * embb.p_e.sum()
             measured = mw_to_dbm(float(totals.mean()))
-            assert abs(measured - ref) <= 0.5, f"{scheme}: {measured:.2f} vs {ref}"
+            assert abs(measured - ref) <= 0.5, f"{label}: {measured:.2f} vs {ref}"
 
 
 class TestTables:
