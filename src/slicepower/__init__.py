@@ -3,7 +3,7 @@ throughput user (eMBB) and one reliability/latency user (URLLC), under
 orthogonal and non-orthogonal multiple access."""
 
 from .alloc import Algorithm, AllocationResult, BcdOptions, EmbbStage, allocate, embb_stage
-from .channel import Geometry, distance_from_mean_snr, mean_snr_from_distance, sample_snr
+from .channel import Geometry, distance_from_mean_snr, mean_snr_from_distance
 from .config import ScenarioConfig, load_config, scheme_f_u_count
 from .errors import (
     LatencyInfeasibleError,

@@ -94,15 +94,11 @@ class EmbbStage:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Final powers over the full grid plus the feasibility evidence."""
+    """The URLLC powers over the full grid on top of their broadband stage
+    ``embb``, plus the feasibility evidence."""
 
-    sets: ResourceSets
-    p_e: np.ndarray
+    embb: EmbbStage
     p_u: np.ndarray
-    p_u_sic: np.ndarray
-    r_e: float
-    r_u: float
-    p_total_mw: float
     p_u_hat: OutageEstimate
     sic_satisfied: bool
     algorithm: str
@@ -111,12 +107,17 @@ class AllocationResult:
     @property
     def embb_power_mw(self) -> float:
         """Power spent on the broadband stream over the slot."""
-        return float(self.sets.grid.M * self.p_e.sum())
+        return float(self.embb.sets.grid.M * self.embb.p_e.sum())
 
     @property
     def urllc_power_mw(self) -> float:
         """Power spent on the URLLC stream over its window."""
-        return float(self.sets.M_u * self.p_u.sum())
+        return float(self.embb.sets.M_u * self.p_u.sum())
+
+    @property
+    def p_total_mw(self) -> float:
+        """Broadband plus URLLC power over the slot."""
+        return self.embb_power_mw + self.urllc_power_mw
 
 
 def feasible_urllc_power(
@@ -249,9 +250,5 @@ def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, 
     else:
         sic_ok = bool(np.all(p_u * embb.p_e == 0.0))
 
-    total = sets.grid.M * float(embb.p_e.sum()) + sets.M_u * float(p_u.sum())
-    return AllocationResult(
-        sets=sets, p_e=embb.p_e, p_u=p_u, p_u_sic=embb.p_u_sic, r_e=embb.r_e, r_u=r_u,
-        p_total_mw=total, p_u_hat=p_u_hat, sic_satisfied=sic_ok,
-        algorithm=algorithm, iterations=iterations,
-    )
+    return AllocationResult(embb=embb, p_u=p_u, p_u_hat=p_u_hat, sic_satisfied=sic_ok,
+                            algorithm=algorithm, iterations=iterations)

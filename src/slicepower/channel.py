@@ -18,7 +18,6 @@ from .units import C_LIGHT, db_to_linear
 
 __all__ = [
     "Geometry",
-    "sample_snr",
     "drop",
     "distance_from_mean_snr",
     "mean_snr_from_distance",
@@ -47,24 +46,15 @@ class Geometry:
             raise ValueError("need 0 < d0 <= cell_radius")
 
 
-def sample_snr(mean: float, count: int, rng) -> np.ndarray:
-    """i.i.d. Rayleigh-fading SNR draws: exponential with the given mean.
-
-    ``rng`` is either a seed (int) or a numpy Generator; passing a seed
-    gives a fresh deterministic stream.
-    """
-    if mean <= 0.0 or count < 1:
-        raise ValueError(f"need mean > 0 and count >= 1, got mean={mean}, count={count}")
-    if not isinstance(rng, np.random.Generator):
-        rng = rngmod.substream(int(rng), "sample_snr")
-    return mean * rng.standard_exponential(count)
-
-
 def drop(seed: int, index: int, gamma_e_mean: float, f_count: int) -> np.ndarray:
-    """Broadband gains of fading drop ``index``: ``f_count`` draws around
-    ``gamma_e_mean``, per mW.  The draw depends on ``(seed, index)`` only,
-    so every scheme, algorithm and placement of a run shares it."""
-    return sample_snr(gamma_e_mean, f_count, rngmod.substream(seed, "drop", index))
+    """Broadband gains of fading drop ``index``: ``f_count`` i.i.d.
+    Rayleigh-fading draws, exponential with mean ``gamma_e_mean`` per mW.
+    The draw depends on ``(seed, index)`` only, so every scheme, algorithm
+    and placement of a run shares it."""
+    if gamma_e_mean <= 0.0 or f_count < 1:
+        raise ValueError(f"need mean > 0 and count >= 1, got mean={gamma_e_mean}, "
+                         f"count={f_count}")
+    return gamma_e_mean * rngmod.substream(seed, "drop", index).standard_exponential(f_count)
 
 
 def _path_gain_numerator(geom: Geometry) -> float:

@@ -89,12 +89,11 @@ def _cmd_allocate(args) -> int:
     )
     print(f"scheme={args.scheme} algorithm={args.algo} d_u={args.du!r} d_e={args.de!r} "
           f"seed={args.seed}")
-    print(f"f_u={list(result.sets.f_u)} f_e={list(result.sets.f_e)} "
-          f"m_u={list(result.sets.m_u)}")
-    print(f"r_e={result.r_e!r} r_u={result.r_u!r}")
-    print(f"p_e_dbm={_fmt_dbm_vector(result.p_e)}")
+    print(f"f_u={list(embb.sets.f_u)} f_e={list(embb.sets.f_e)} m_u={list(embb.sets.m_u)}")
+    print(f"r_e={embb.r_e!r} r_u={r_u!r}")
+    print(f"p_e_dbm={_fmt_dbm_vector(embb.p_e)}")
     print(f"p_u_dbm={_fmt_dbm_vector(result.p_u)}")
-    print(f"p_sic_dbm={_fmt_dbm_vector(result.p_u_sic)}")
+    print(f"p_sic_dbm={_fmt_dbm_vector(embb.p_u_sic)}")
     print(f"embb_power_dbm={mw_to_dbm(result.embb_power_mw):.6f} "
           f"urllc_power_dbm={mw_to_dbm(result.urllc_power_mw):.6f} "
           f"total_dbm={mw_to_dbm(result.p_total_mw):.6f}")

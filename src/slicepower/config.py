@@ -5,25 +5,26 @@ An empty config file (or none at all) reproduces the reference setup: a
 2160/7 URLLC bits per slot at outage target 1e-5, a 500 m cell with
 path-loss exponent 4 and -108 dBm receiver noise.  Config files are
 plain ``key = value`` lines; ``#`` starts a comment and lists are
-comma-separated.
+comma-separated.  A config checks itself on every construction, however
+it is built.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import dataclass, fields
 
 from .alloc import Algorithm, BcdOptions
-from .channel import Geometry, mean_snr_from_distance
+from .channel import Geometry, distance_from_mean_snr, mean_snr_from_distance
 from .grid import ResourceGrid, Scheme, TrafficSpec
-from .units import dbm_to_watt
+from .units import db_to_linear, dbm_to_watt
 
 __all__ = ["ScenarioConfig", "scheme_f_u_count", "load_config", "dump_config"]
 
 log = logging.getLogger(__name__)
 
-_LIST_FIELDS = {"schemes", "algorithms", "d_u", "d_e", "gamma_u_db", "gamma_e_db"}
 _FLOAT_LISTS = {"d_u", "d_e", "gamma_u_db", "gamma_e_db"}
 _SAMPLE_FIELDS = ("table_trials", "crn_draws", "evidence_trials")
 
@@ -69,6 +70,24 @@ class ScenarioConfig:
     tau: float = 1e-7
     evidence_trials: int = 10**6
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and not isinstance(value, numbers.Integral):
+                raise ValueError(f"integer field {f.name!r} got {value!r}")
+        for name in ("drops",) + _SAMPLE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the derived objects check F and M, epsilon_u, the window and the path loss
+        self.grid()
+        self.traffic()
+        self.geometry()
+        for label in self.schemes:
+            scheme_f_u_count(label, self.f_count)
+        for algo in self.algorithms:
+            if algo not in Algorithm.ALL:
+                raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
+
     def grid(self) -> ResourceGrid:
         return ResourceGrid(F=self.f_count, M=self.m_count,
                             delta_f=self.delta_f, T=self.slot_duration)
@@ -85,6 +104,14 @@ class ScenarioConfig:
         """Per-mW mean gain at ``distance_m``: the per-watt mean SNR / 1e3."""
         sigma2_w = dbm_to_watt(self.noise_dbm)
         return mean_snr_from_distance(distance_m, self.geometry(), sigma2_w) / 1e3
+
+    def placements(self) -> tuple[list, list]:
+        """The sweep's URLLC and broadband distance axes [m]: each distance
+        list merged with the distances of its mean-SNR list, sorted."""
+        geom, sigma2_w = self.geometry(), dbm_to_watt(self.noise_dbm)
+        d_u, d_e = ({distance_from_mean_snr(db_to_linear(g), geom, sigma2_w) for g in snrs_db}
+                    for snrs_db in (self.gamma_u_db, self.gamma_e_db))
+        return sorted(set(self.d_u) | d_u), sorted(set(self.d_e) | d_e)
 
     def bcd_options(self) -> BcdOptions:
         return BcdOptions(mu0_fraction=self.mu0_fraction, tau=self.tau, draws=self.crn_draws)
@@ -109,7 +136,7 @@ def scheme_f_u_count(scheme_label: str, f_count: int) -> tuple[Scheme, int]:
 
 def _parse_value(name: str, raw: str, kind):
     raw = raw.strip()
-    if name in _LIST_FIELDS:
+    if kind is tuple:
         if raw == "":
             return ()
         items = [x.strip() for x in raw.split(",") if x.strip()]
@@ -123,10 +150,8 @@ def _parse_value(name: str, raw: str, kind):
             return False
         raise ValueError(f"boolean field {name!r} got {raw!r}")
     if kind is int:
-        value = float(raw)
-        if not value.is_integer():
-            raise ValueError(f"integer field {name!r} got {raw!r}")
-        return int(value)
+        value = float(raw)  # a non-integral value is left for the config to reject
+        return int(value) if value.is_integer() else value
     if kind is float:
         return float(raw)
     return raw
@@ -137,8 +162,6 @@ def _warn_small_samples(cfg: ScenarioConfig) -> None:
 
     Below that, an estimate at the target expects fewer than ten outages.
     """
-    if cfg.epsilon_u <= 0.0:
-        return
     minimum = math.ceil(10.0 / cfg.epsilon_u)
     short = [f"{name} = {getattr(cfg, name)}" for name in _SAMPLE_FIELDS
              if getattr(cfg, name) < minimum]
@@ -149,9 +172,10 @@ def _warn_small_samples(cfg: ScenarioConfig) -> None:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
-    """Read a key=value file (missing keys keep their defaults)."""
+    """Read a key=value file (missing keys keep their defaults); each
+    override replaces its file value before the config checks itself."""
     values: dict = {}
-    kinds = {f.name: type(getattr(ScenarioConfig(), f.name)) for f in fields(ScenarioConfig)}
+    kinds = {f.name: type(f.default) for f in fields(ScenarioConfig)}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -164,17 +188,7 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
                 if key not in kinds:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _parse_value(key, raw, kinds[key])
-    cfg = ScenarioConfig(**values)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    for label in cfg.schemes:
-        scheme_f_u_count(label, cfg.f_count)  # validate early
-    for algo in cfg.algorithms:
-        if algo not in Algorithm.ALL:
-            raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
-    for name in ("drops",) + _SAMPLE_FIELDS:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    cfg = ScenarioConfig(**{**values, **(overrides or {})})
     _warn_small_samples(cfg)
     return cfg
 
@@ -184,7 +198,7 @@ def dump_config(cfg: ScenarioConfig) -> str:
     lines = []
     for f in fields(ScenarioConfig):
         value = getattr(cfg, f.name)
-        if f.name in _LIST_FIELDS:
+        if type(f.default) is tuple:
             rendered = ", ".join(str(x) for x in value)
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)

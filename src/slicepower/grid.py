@@ -91,7 +91,6 @@ class ResourceSets:
     f_u: tuple
     f_e: tuple
     m_u: tuple
-    m_e: tuple
     scheme: Scheme
     grid: ResourceGrid = field(repr=False)
 
@@ -105,12 +104,15 @@ class ResourceSets:
                 raise ValueError("OMA frequency sets must be disjoint")
             if tuple(sorted(set(self.f_u) | set(self.f_e))) != full:
                 raise ValueError("OMA frequency sets must partition the band")
-        if self.m_e != tuple(range(self.grid.M)):
-            raise ValueError("the broadband user must span every mini-slot")
         if not self.m_u:
             raise ValueError("the URLLC window must span at least one mini-slot")
         if list(self.m_u) != list(range(min(self.m_u), min(self.m_u) + len(self.m_u))):
             raise ValueError("URLLC mini-slots must be contiguous")
+
+    @property
+    def m_e(self) -> tuple:
+        """The broadband user spans every mini-slot."""
+        return tuple(range(self.grid.M))
 
     @property
     def F_u(self) -> int:
@@ -191,5 +193,4 @@ def build_resource_sets(
     full = tuple(range(grid.F))
     f_e = full if scheme is Scheme.NOMA else tuple(f for f in full if f not in set(f_u))
     m_u = tuple(range(traffic.W_u, traffic.W_u + m_u_count))
-    return ResourceSets(f_u=f_u, f_e=f_e, m_u=m_u, m_e=tuple(range(grid.M)),
-                        scheme=scheme, grid=grid)
+    return ResourceSets(f_u=f_u, f_e=f_e, m_u=m_u, scheme=scheme, grid=grid)

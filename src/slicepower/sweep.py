@@ -19,12 +19,12 @@ import numpy as np
 
 from . import rng as rngmod
 from .alloc import Algorithm, allocate, embb_stage
-from .channel import distance_from_mean_snr, drop
+from .channel import drop
 from .config import ScenarioConfig, scheme_f_u_count
 from .errors import SlicePowerError
 from .grid import Scheme
 from .table import OutageTable, build_table, load_table, save_table
-from .units import db_to_linear, dbm_to_watt, gain_to_snr_db, mw_to_dbm
+from .units import gain_to_snr_db, mw_to_dbm
 
 __all__ = ["SweepRecord", "table_path", "table_build_command", "ensure_table", "run_sweep",
            "write_records_csv"]
@@ -111,15 +111,8 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
     """
     grid = cfg.grid()
     traffic = cfg.traffic()
-    geom = cfg.geometry()
-    sigma2_w = dbm_to_watt(cfg.noise_dbm)
     records: list[SweepRecord] = []
-    d_u_axis = sorted(set(cfg.d_u) | {
-        distance_from_mean_snr(db_to_linear(g), geom, sigma2_w) for g in cfg.gamma_u_db
-    })
-    d_e_axis = sorted(set(cfg.d_e) | {
-        distance_from_mean_snr(db_to_linear(g), geom, sigma2_w) for g in cfg.gamma_e_db
-    })
+    d_u_axis, d_e_axis = cfg.placements()
     if not d_u_axis or not d_e_axis:
         log.info("empty sweep axis; nothing to do")
         return records

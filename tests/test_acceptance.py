@@ -291,12 +291,12 @@ class TestC08DominanceAndFeasibility:
                 dominance_violations += 1
             assert fea.p_u_hat.p_hat <= eps + fea.p_u_hat.ci_halfwidth
             assert bcd.p_u_hat.p_hat <= eps + bcd.p_u_hat.ci_halfwidth
-            fu = list(bcd.sets.f_u)
+            fu = list(bcd.embb.sets.f_u)
             for res in (fea, bcd):
-                sic_rate = mutual_info_sic(res.p_u[fu], res.p_e[fu],
+                sic_rate = mutual_info_sic(res.p_u[fu], res.embb.p_e[fu],
                                            embb.gamma_e[fu], Scheme.NOMA)
-                worst_sic_gap = max(worst_sic_gap, res.r_u - sic_rate)
-                assert sic_rate >= res.r_u * (1.0 - 1e-9)
+                worst_sic_gap = max(worst_sic_gap, res.embb.r_u - sic_rate)
+                assert sic_rate >= res.embb.r_u * (1.0 - 1e-9)
         report("C8 dominance and feasibility", dominance_violations == 0,
                f"{drops} drops, {dominance_violations} dominance violations, "
                f"worst cancellation-rate shortfall {worst_sic_gap:.2e}")
@@ -318,7 +318,7 @@ class TestC09CancellationFloor:
         for i, embb in enumerate(stages):
             bcd = allocate(embb, gamma_u, "bcd", eps,
                            seed=i, table=table, bcd=bcd_opts, evidence_trials=10**4)
-            floor = float(bcd.p_u_sic.sum())
+            floor = float(bcd.embb.p_u_sic.sum())
             if floor > 0.0 and abs(mw_to_dbm(bcd.p_u.sum()) - mw_to_dbm(floor)) <= 0.5:
                 near_floor += 1
         ok = near_floor >= 0.9 * drops

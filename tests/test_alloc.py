@@ -1,4 +1,5 @@
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestFeasibleAllocator:
         result = allocate(stage(0, Scheme.OMA, 3), GAMMA_U, "fea", EPS,
                           seed=1, table=oma3_table, evidence_trials=30_000)
         level_dbm = min_feasible_power(oma3_table, 0.0, EPS)
-        on_fu = result.p_u[list(result.sets.f_u)]
+        on_fu = result.p_u[list(result.embb.sets.f_u)]
         assert np.allclose(on_fu, dbm_to_mw(level_dbm))
         # grid optimality: one tabulated step below fails the target
         j = int(np.nonzero(oma3_table.axis_pu_dbm == level_dbm)[0][0])
@@ -70,21 +71,21 @@ class TestFeasibleAllocator:
     def test_oma_orthogonality_exact(self, oma3_table):
         result = allocate(stage(1, Scheme.OMA, 3), GAMMA_U, "fea", EPS,
                           seed=2, table=oma3_table, evidence_trials=20_000)
-        assert np.all(result.p_u * result.p_e == 0.0)
+        assert np.all(result.p_u * result.embb.p_e == 0.0)
         assert result.sic_satisfied
 
     def test_noma_feasibility_over_drops(self, noma_table):
         for drop in range(8):
             result = allocate(stage(drop), GAMMA_U, "fea", EPS,
                               seed=drop, table=noma_table, evidence_trials=30_000)
-            fu = list(result.sets.f_u)
-            assert np.all(result.p_u[fu] >= result.p_u_sic[fu] - 1e-15)
+            fu = list(result.embb.sets.f_u)
+            assert np.all(result.p_u[fu] >= result.embb.p_u_sic[fu] - 1e-15)
             assert result.p_u_hat.p_hat <= EPS + result.p_u_hat.ci_halfwidth
             assert result.sic_satisfied
             gamma = gains(drop)
-            assert mutual_info_e(result.p_e[list(result.sets.f_e)],
-                                 gamma[list(result.sets.f_e)]) == pytest.approx(
-                result.r_e, rel=1e-9
+            assert mutual_info_e(result.embb.p_e[list(result.embb.sets.f_e)],
+                                 gamma[list(result.embb.sets.f_e)]) == pytest.approx(
+                result.embb.r_e, rel=1e-9
             )
 
     def test_noma_with_clear_shared_channels_matches_oma_power(self, oma3_table):
@@ -96,8 +97,8 @@ class TestFeasibleAllocator:
                         EPS, seed=3, table=oma3_table, evidence_trials=10_000)
         oma = allocate(embb_stage(GRID, TRAFFIC, gamma_e, Scheme.OMA, 3, 1), GAMMA_U, "fea",
                        EPS, seed=3, table=oma3_table, evidence_trials=10_000)
-        fu = list(noma.sets.f_u)
-        assert np.all(noma.p_e[fu] == 0.0)
+        fu = list(noma.embb.sets.f_u)
+        assert np.all(noma.embb.p_e[fu] == 0.0)
         assert np.allclose(noma.p_u, oma.p_u)
 
     def test_worst_interference_drives_the_lookup(self, noma_table):
@@ -117,12 +118,12 @@ class TestDescentAllocator:
             bcd = allocate(embb, GAMMA_U, "bcd", EPS,
                            seed=drop, table=noma_table, bcd=BCD, evidence_trials=30_000)
             assert bcd.urllc_power_mw <= fea.urllc_power_mw + 1e-12
-            fu = list(bcd.sets.f_u)
-            assert np.all(bcd.p_u[fu] >= bcd.p_u_sic[fu] - 1e-15)
+            fu = list(bcd.embb.sets.f_u)
+            assert np.all(bcd.p_u[fu] >= bcd.embb.p_u_sic[fu] - 1e-15)
             assert bcd.p_u_hat.p_hat <= EPS + bcd.p_u_hat.ci_halfwidth
             assert bcd.sic_satisfied
-            assert mutual_info_sic(bcd.p_u[fu], bcd.p_e[fu], gains(drop)[fu],
-                                   Scheme.NOMA) >= bcd.r_u * (1 - 1e-9)
+            assert mutual_info_sic(bcd.p_u[fu], bcd.embb.p_e[fu], gains(drop)[fu],
+                                   Scheme.NOMA) >= bcd.embb.r_u * (1 - 1e-9)
 
     def test_fully_pinned_start_is_returned_unchanged(self):
         crn = CommonRandomOutage(GAMMA_U, 4, 1.0, draws=1000, seed=50)
@@ -193,9 +194,9 @@ class TestResultBookkeeping:
                               axis_pu_dbm=np.arange(-15.0, 16.0),
                               axis_pe_dbm=np.concatenate(([-math.inf], np.arange(-12.0, 13.0))),
                           ), evidence_trials=10_000)
-        expected = GRID.M * result.p_e.sum() + 2 * result.p_u.sum()
+        expected = GRID.M * result.embb.p_e.sum() + 2 * result.p_u.sum()
         assert result.p_total_mw == pytest.approx(expected, rel=1e-12)
-        assert result.embb_power_mw == pytest.approx(GRID.M * result.p_e.sum())
+        assert result.embb_power_mw == pytest.approx(GRID.M * result.embb.p_e.sum())
         assert result.urllc_power_mw == pytest.approx(2 * result.p_u.sum())
 
     def test_algorithm_and_iterations_recorded(self, noma_table):
@@ -227,8 +228,8 @@ class TestEmbbStage:
                                  bcd=BCD, evidence_trials=10_000)
             on_fresh = allocate(stage(5), GAMMA_U, algo, EPS, seed=6, table=noma_table,
                                 bcd=BCD, evidence_trials=10_000)
-            for name in ("p_e", "p_u", "p_u_sic"):
-                assert getattr(on_shared, name).tobytes() == getattr(on_fresh, name).tobytes()
+            for name in ("embb.p_e", "p_u", "embb.p_u_sic"):
+                assert attrgetter(name)(on_shared).tobytes() == attrgetter(name)(on_fresh).tobytes()
             assert on_shared.p_total_mw == on_fresh.p_total_mw
             assert on_shared.p_u_hat == on_fresh.p_u_hat
             assert on_shared.iterations == on_fresh.iterations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slicepower import Geometry, distance_from_mean_snr, mean_snr_from_distance, sample_snr
+from slicepower import Geometry, distance_from_mean_snr, mean_snr_from_distance
 from slicepower.channel import drop
 from slicepower.rng import substream
 from slicepower.units import db_to_linear, dbm_to_watt, linear_to_db
@@ -24,7 +24,7 @@ class TestSampler:
     def test_mean_and_variance(self):
         mean = 1000.0
         n = 10**6
-        draws = sample_snr(mean, n, rng=123)
+        draws = drop(123, 0, mean, n)
         se_mean = mean / np.sqrt(n)
         assert abs(draws.mean() - mean) < 5 * se_mean
         # exponential variance is mean^2; its sample estimate has
@@ -33,26 +33,22 @@ class TestSampler:
         assert abs(draws.var() - mean**2) < 5 * se_var
 
     def test_deterministic_given_seed(self):
-        a = sample_snr(42.0, 1000, rng=7)
-        b = sample_snr(42.0, 1000, rng=7)
+        a = drop(7, 0, 42.0, 1000)
+        b = drop(7, 0, 42.0, 1000)
         assert np.array_equal(a, b)
 
     def test_cdf_at_mean(self):
         n = 200_000
-        draws = sample_snr(3.5, n, rng=11)
+        draws = drop(11, 0, 3.5, n)
         p = np.mean(draws <= 3.5)
         ref = 1.0 - np.exp(-1.0)
         assert abs(p - ref) < 3 * np.sqrt(ref * (1 - ref) / n)
 
-    def test_accepts_generator(self):
-        gen = np.random.default_rng(3)
-        assert sample_snr(1.0, 10, rng=gen).shape == (10,)
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            sample_snr(0.0, 10, rng=1)
+            drop(1, 0, 0.0, 10)
         with pytest.raises(ValueError):
-            sample_snr(1.0, 0, rng=1)
+            drop(1, 0, 1.0, 0)
 
 
 class TestDrop:

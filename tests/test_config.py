@@ -1,10 +1,12 @@
+import dataclasses
 import logging
 import os
 
 import pytest
 
+import slicepower.sweep
 from slicepower import (BcdOptions, ScenarioConfig, Scheme, distance_from_mean_snr, load_config,
-                        scheme_f_u_count)
+                        run_sweep, scheme_f_u_count)
 from slicepower.config import dump_config
 from slicepower.units import db_to_linear, dbm_to_watt, snr_db_to_gain
 
@@ -109,6 +111,53 @@ class TestParsing:
         path = tmp_path / "dump.cfg"
         path.write_text(dump_config(cfg))
         assert load_config(path) == cfg
+
+
+class TestValidation:
+    """Every way of building a config runs the same checks."""
+
+    ONE_POINT = {"d_u": (100.0,), "schemes": ("oma-3",), "algorithms": ("fea",)}
+
+    def test_bad_drops_fail_before_any_table(self, monkeypatch, tmp_path):
+        tables = []
+        monkeypatch.setattr(slicepower.sweep, "ensure_table",
+                            lambda *args: tables.append(args))
+        with pytest.raises(ValueError, match="drops"):
+            run_sweep(ScenarioConfig(drops=0, table_dir=str(tmp_path), **self.ONE_POINT))
+        with pytest.raises(ValueError, match="'drops'"):
+            run_sweep(load_config(None, overrides={"drops": 2.5, "table_dir": str(tmp_path),
+                                                   **self.ONE_POINT}))
+        assert tables == []
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("epsilon_u", 0.0, "epsilon_u"),
+        ("f_count", 0, "F >= 1"),
+        ("path_loss_exponent", 2.0, "path-loss exponent"),
+        ("schemes", ("tdma",), "unknown scheme"),
+        ("algorithms", ("simplex",), "unknown algorithm"),
+        ("drops", 2.5, "integer field 'drops'"),
+        ("crn_draws", 0, "crn_draws must be >= 1"),
+    ])
+    def test_rejected_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ScenarioConfig(), **{field: value})
+
+    def test_override_replaces_a_bad_file_value(self, tmp_path):
+        # the file value is never checked on its own: one construction
+        path = tmp_path / "case.cfg"
+        path.write_text("drops = 0\n")
+        assert load_config(path, overrides={"drops": 5}).drops == 5
+        with pytest.raises(ValueError, match="drops must be >= 1"):
+            load_config(path)
+
+    def test_placements_merge_distances_and_mean_snrs(self):
+        cfg = ScenarioConfig(gamma_u_db=(60.0,), d_u=(100.0,))
+        d_60db = distance_from_mean_snr(db_to_linear(60.0), cfg.geometry(),
+                                        dbm_to_watt(cfg.noise_dbm))
+        assert d_60db < 100.0
+        assert cfg.placements() == ([d_60db, 100.0], [146.9])
 
 
 class TestSchemeMapping:
