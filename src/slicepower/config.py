@@ -87,6 +87,10 @@ class ScenarioConfig:
         for algo in self.algorithms:
             if algo not in Algorithm.ALL:
                 raise ValueError(f"unknown algorithm {algo!r}; expected one of {Algorithm.ALL}")
+        for distance in (d for axis in self.placements() for d in axis):
+            if not self.d0 <= distance <= self.cell_radius:
+                raise ValueError(f"{distance:g} m is outside the {self.cell_radius:g} m cell "
+                                 f"(d0 = {self.d0:g} m)")
 
     def grid(self) -> ResourceGrid:
         return ResourceGrid(F=self.f_count, M=self.m_count,

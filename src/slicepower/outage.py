@@ -33,6 +33,8 @@ __all__ = [
 _LN2 = math.log(2.0)
 #: rows drawn per chunk; fixed so results never depend on memory pressure
 _CHUNK = 1 << 19
+#: draws per block when copying between draw-major and resource-major order
+_ROWS = 1 << 12
 
 
 def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray) -> np.ndarray:
@@ -200,24 +202,35 @@ class CommonRandomOutage:
     The draws are kept resource-major, one contiguous column per
     resource.  :meth:`attach` also caches, per resource, the rate column
     ``ln(1 + g Pu / (1 + g Pe))`` and the denominator ``1 + g Pe``, next
-    to the per-draw totals.  A coordinate try then costs one ``log1p``
-    pass over one column, and :meth:`commit` reuses the column of the try
-    it adopts.  An attached estimator holds 3 x draws x F_u float64 (the
-    draws and both caches) plus three draws-long buffers; :meth:`attach`
-    briefly needs a fourth block to sum the totals draw-major.  Every
-    estimate is bit-identical to a full recompute.
+    to the per-draw totals.  A coordinate try for resource ``f`` counts
+    ``fl(total + fl(col - rate_f)) <= target`` over the pivotal draws
+    ``fl(total - rate_f) <= target`` only.  No other draw can be in
+    outage at any power: ``log1p`` of a non-negative ratio is at least 0,
+    so ``fl(col - rate_f) >= -rate_f``, and rounded addition and
+    subtraction are monotone.  Each resource's pivotal draws, rate
+    columns and totals are gathered once into a slab and reused until the
+    next :meth:`commit` or :meth:`attach`; a resource with more than
+    ``draws / 4`` pivotal draws uses its full columns instead.
+
+    An attached estimator holds 3 x draws x F_u float64 (the draws and
+    both caches) plus the totals and five draws-long buffers (the
+    four-row slab and one column).  Draw-major copies are made in blocks
+    of ``_ROWS`` draws, so no fourth ``draws x F_u`` block is ever
+    needed.  Every estimate is bit-identical to a full recompute.
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
         self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
         gen = rngmod.substream(seed, "crn")
-        gamma = gen.standard_exponential((draws, f_count))
-        gamma *= gamma_u_mean
-        self._gamma = np.ascontiguousarray(gamma.T)
+        # drawn in the order of one (draws, F_u) block, stored resource-major
+        self._gamma = np.empty((f_count, draws))
+        for start in range(0, draws, _ROWS):
+            block = gen.standard_exponential((min(_ROWS, draws - start), f_count))
+            block *= gamma_u_mean
+            self._gamma[:, start:start + len(block)] = block.T
         self.draws = draws
         self.f_count = f_count
         self._total = None  # set, with the cached columns, by attach()
-        self._tried = None
 
     def _estimate(self, total_nats: np.ndarray) -> OutageEstimate:
         return OutageEstimate.from_counts(_outages(total_nats, self.target_nats), self.draws)
@@ -226,8 +239,11 @@ class CommonRandomOutage:
         """Rate and denominator columns at checked vectors, and the per-draw totals."""
         den = np.empty_like(self._gamma)
         rate = _sinr_rate_nats(self._gamma, p_u[:, None], p_e[:, None], den)
-        # summed draw-major, as the pairwise row sum of a (draws, F_u) block
-        total = np.ascontiguousarray(rate.T).sum(axis=1)
+        # summed draw-major, as the pairwise row sums of (rows, F_u) blocks
+        total = np.empty(self.draws)
+        for start in range(0, self.draws, _ROWS):
+            stop = start + _ROWS
+            np.ascontiguousarray(rate[:, start:stop].T).sum(axis=1, out=total[start:stop])
         return rate, den, total
 
     def estimate(self, p_u, p_e) -> OutageEstimate:
@@ -239,34 +255,62 @@ class CommonRandomOutage:
 
     def attach(self, p_u, p_e) -> OutageEstimate:
         """Fix the working vectors and cache the columns and per-draw totals."""
-        self._p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
-        self._rate, self._den, self._total = self._columns(self._p_u, p_e)
-        self._col, self._delta, self._sum = np.empty((3, self.draws))
-        self._tried = None
+        p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
+        self._rate, self._den, self._total = self._columns(p_u, p_e)
+        self._col = np.empty(self.draws)
+        self._slab = np.empty((4, self.draws))
+        self._drop_slices()
         return self._estimate(self._total)
 
-    def _move(self, f: int, value: float) -> None:
-        """Rate column and per-draw change of the totals with ``p_u[f] = value``."""
+    def _drop_slices(self) -> None:
+        self._slices, self._slab_used = {}, 0
+
+    def _slice(self, f: int):
+        """Draws, denominators, rates and totals of resource ``f``'s pivotal draws."""
+        cached = self._slices.get(f)
+        if cached is None:
+            rest = np.subtract(self._total, self._rate[f], out=self._col)
+            pivotal = np.flatnonzero(rest <= self.target_nats)
+            columns = (self._gamma[f], self._den[f], self._rate[f], self._total)
+            if pivotal.size > self.draws // 4:
+                cached = columns
+            else:
+                if self._slab_used + pivotal.size > self.draws:
+                    self._drop_slices()
+                cached = self._slab[:, self._slab_used:self._slab_used + pivotal.size]
+                self._slab_used += pivotal.size
+                for column, row in zip(columns, cached):
+                    np.take(column, pivotal, out=row)
+            self._slices[f] = cached
+        return cached
+
+    def _check(self, value: float) -> None:
         if self._total is None:
             raise RuntimeError("attach() a working vector first")
         if value < 0.0:
             raise ValueError("powers must be non-negative")
-        np.multiply(self._gamma[f], value, out=self._col)
-        self._col /= self._den[f]
-        np.log1p(self._col, out=self._col)
-        np.subtract(self._col, self._rate[f], out=self._delta)
-        self._tried = (f, value)
+
+    def _rate_column(self, g: np.ndarray, den: np.ndarray, value: float) -> np.ndarray:
+        """``ln(1 + g value / den)`` in the column buffer."""
+        col = np.multiply(g, value, out=self._col[:len(g)])
+        col /= den
+        return np.log1p(col, out=col)
 
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
-        self._move(f, value)
-        return self._estimate(np.add(self._total, self._delta, out=self._sum))
+        self._check(value)
+        g, den, rate, total = self._slice(f)
+        col = self._rate_column(g, den, value)
+        col -= rate
+        col += total
+        return self._estimate(col)
 
     def commit(self, f: int, value: float) -> None:
-        """Adopt the coordinate change, reusing the last try when it was ``(f, value)``."""
-        if self._tried != (f, value):
-            self._move(f, value)
-        self._total += self._delta
-        self._rate[f] = self._col
-        self._p_u[f] = value
-        self._tried = None
+        """Adopt the coordinate change; the cached slices are dropped."""
+        self._check(value)
+        col = self._rate_column(self._gamma[f], self._den[f], value)
+        rate = self._rate[f]
+        np.subtract(col, rate, out=rate)  # the change of each total
+        self._total += rate
+        rate[:] = col
+        self._drop_slices()

@@ -21,9 +21,10 @@ from . import rng as rngmod
 from .alloc import Algorithm, allocate, embb_stage
 from .channel import drop
 from .config import ScenarioConfig, scheme_f_u_count
-from .errors import SlicePowerError
+from .errors import SlicePowerError, TableExhaustedError
 from .grid import Scheme
-from .table import OutageTable, build_table, load_table, save_table
+from .table import (OutageTable, build_table, default_interference_axis_dbm, interference_row,
+                    load_table, save_table)
 from .units import gain_to_snr_db, mw_to_dbm
 
 __all__ = ["SweepRecord", "table_path", "table_build_command", "ensure_table", "run_sweep",
@@ -72,12 +73,20 @@ def table_build_command(gamma_u: float, f_u: int, r_u: float, trials: int, seed:
             f"--r-u {r_u:.8g} --trials {trials} --seed {seed} --out {out}")
 
 
-def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> OutageTable:
-    """Load the table for this need, building it first when allowed."""
+def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float,
+                 p_e_max_mw: float = 0.0) -> OutageTable:
+    """Load the table for this need, building it first when allowed.
+
+    The table's interference axis must reach ``p_e_max_mw``, the worst
+    broadband power on a URLLC resource: a loaded table is checked right
+    after the load and the default axis before a build, so a shortfall
+    raises :class:`TableExhaustedError` before any allocation.
+    """
     path = table_path(cfg, gamma_u, f_u, r_u)
     if os.path.exists(path):
         table = load_table(path)
         if table.matches(gamma_u, f_u, r_u):
+            interference_row(table.axis_pe_dbm, p_e_max_mw)
             return table
         raise SlicePowerError(f"existing table {path} does not match the request")
     if not cfg.auto_build_tables:
@@ -86,6 +95,7 @@ def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> O
             f"  {table_build_command(gamma_u, f_u, r_u, cfg.table_trials, cfg.seed, path)}\n"
             "or set auto_build_tables = true"
         )
+    interference_row(default_interference_axis_dbm(), p_e_max_mw)
     log.info("building outage table %s (trials=%d)", path, cfg.table_trials)
     table = build_table(gamma_u, f_u, r_u, cfg.table_trials, cfg.seed, m_u=cfg.m_u)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -123,11 +133,18 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
         gains = [drop(cfg.seed, i, gamma_e_mean, grid.F) for i in range(cfg.drops)]
         stages = {label: [embb_stage(grid, traffic, g, *scheme_f_u_count(label, grid.F), cfg.m_u)
                           for g in gains] for label in cfg.schemes}
+        # the worst broadband power on a URLLC resource, which every table must cover
+        worst = {label: max(float(stage.p_e[list(stage.sets.f_u)].max()) for stage in runs)
+                 for label, runs in stages.items()}
         for d_u in d_u_axis:
             gamma_u_mean = cfg.mean_gain(d_u)
             for scheme_label in cfg.schemes:
                 first = stages[scheme_label][0]  # every drop needs the same (F_u, r_u)
-                table = ensure_table(cfg, gamma_u_mean, first.sets.F_u, first.r_u)
+                try:
+                    table = ensure_table(cfg, gamma_u_mean, first.sets.F_u, first.r_u,
+                                         worst[scheme_label])
+                except TableExhaustedError as exc:
+                    raise TableExhaustedError(f"at d_e = {d_e:g} m: {exc}") from exc
                 algos = cfg.algorithms if first.sets.scheme is Scheme.NOMA else (Algorithm.FEASIBLE,)
                 for algo in algos:
                     totals, urllc, embb, p_hats = [], [], [], []

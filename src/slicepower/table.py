@@ -29,6 +29,7 @@ __all__ = [
     "default_power_axis_dbm",
     "default_interference_axis_dbm",
     "cell_seed",
+    "interference_row",
     "build_table",
     "min_feasible_power",
     "save_table",
@@ -136,23 +137,24 @@ def build_table(
     )
 
 
-def _interference_row(table: OutageTable, p_e_query_mw: float) -> int:
-    """Row index covering the query, rounding the interference up."""
+def interference_row(axis_pe_dbm: np.ndarray, p_e_query_mw: float) -> int:
+    """Index on an interference axis that covers the query, rounding the
+    interference up; :class:`TableExhaustedError` when none does."""
     if p_e_query_mw < 0.0:
         raise ValueError("interference power must be non-negative")
     if p_e_query_mw == 0.0:
-        if not np.isneginf(table.axis_pe_dbm[0]):
+        if not np.isneginf(axis_pe_dbm[0]):
             raise TableExhaustedError(
                 "table has no no-interference row; rebuild with one"
             )
         return 0
     query_dbm = mw_to_dbm(p_e_query_mw)
     # tolerate float fuzz when the query sits exactly on a grid line
-    candidates = np.nonzero(table.axis_pe_dbm >= query_dbm - 1e-9)[0]
+    candidates = np.nonzero(axis_pe_dbm >= query_dbm - 1e-9)[0]
     if candidates.size == 0:
         raise TableExhaustedError(
             f"interference {query_dbm:.2f} dBm exceeds the table's "
-            f"{table.axis_pe_dbm[-1]:.2f} dBm; extend the interference axis"
+            f"{axis_pe_dbm[-1]:.2f} dBm; extend the interference axis"
         )
     return int(candidates[0])
 
@@ -166,7 +168,7 @@ def min_feasible_power(table: OutageTable, p_e_query_mw: float, epsilon_u: float
     """
     if not 0.0 < epsilon_u <= 1.0:
         raise ValueError("epsilon_u must be in (0, 1]")
-    row = table.values[_interference_row(table, p_e_query_mw)]
+    row = table.values[interference_row(table.axis_pe_dbm, p_e_query_mw)]
     feasible = np.nonzero(row <= epsilon_u)[0]
     if feasible.size == 0:
         raise TableExhaustedError(

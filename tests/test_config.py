@@ -137,6 +137,9 @@ class TestValidation:
         ("algorithms", ("simplex",), "unknown algorithm"),
         ("drops", 2.5, "integer field 'drops'"),
         ("crn_draws", 0, "crn_draws must be >= 1"),
+        ("d_u", (5.0,), "5 m is outside the 500 m cell"),  # inside d0 = 10 m
+        ("d_u", (5000.0,), "5000 m is outside the 500 m cell"),
+        ("gamma_e_db", (10.0,), "1469.06 m is outside the 500 m cell"),
     ])
     def test_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -151,6 +154,10 @@ class TestValidation:
         assert load_config(path, overrides={"drops": 5}).drops == 5
         with pytest.raises(ValueError, match="drops must be >= 1"):
             load_config(path)
+
+    def test_placements_on_the_cell_edges_are_accepted(self):
+        cfg = ScenarioConfig(d_u=(10.0, 500.0), gamma_u_db=(30.0, 80.0))
+        assert cfg.placements()[0][0] == 10.0 and cfg.placements()[0][-1] == 500.0
 
     def test_placements_merge_distances_and_mean_snrs(self):
         cfg = ScenarioConfig(gamma_u_db=(60.0,), d_u=(100.0,))

@@ -228,49 +228,120 @@ class UncachedCommonRandomOutage:
         self._p_u[f] = value
 
 
+def record_slices(crn):
+    """Wrap ``crn``'s pivotal-slice lookup; the returned list gets each slice's length."""
+    lengths = []
+    lookup = crn._slice
+
+    def spy(f):
+        columns = lookup(f)
+        lengths.append(len(columns[0]))
+        return columns
+
+    crn._slice = spy
+    return lengths
+
+
 class TestCachedColumnsAreBitExact:
     """The cached coordinate path gives the uncached oracle's bits."""
 
     @pytest.mark.parametrize("f_count", [1, 3, 12])
     @pytest.mark.parametrize("interfered", [False, True])
     def test_call_sequence_matches_oracle(self, f_count, interfered):
+        # every draw is in outage at these powers
+        self.check_call_sequence(f_count, interfered, scale=1.0)
+
+    @pytest.mark.parametrize("f_count", [1, 3, 12])
+    @pytest.mark.parametrize("interfered", [False, True])
+    def test_selective_call_sequence_matches_oracle(self, f_count, interfered):
+        # the 12-resource slices are selective and overflow the slab within a sweep
+        self.check_call_sequence(f_count, interfered, scale=300.0)
+
+    @staticmethod
+    def check_call_sequence(f_count, interfered, scale):
         rng = np.random.default_rng(100 + f_count + 7 * interfered)
         args = (snr_db_to_gain(20.0), f_count, 1.0, 4_000, 31)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        slice_lengths = record_slices(new)
         p_e = rng.uniform(0.0, 0.5, f_count) if interfered else np.zeros(f_count)
-        p_u = rng.uniform(0.02, 0.2, f_count)
+        p_u = scale * rng.uniform(0.02, 0.2, f_count)
+        current = p_u.copy()
 
         def same(a, b):
             assert a.p_hat == b.p_hat
             assert np.array_equal(new._total, old._total)
 
+        def tried(f, value):
+            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
+
         def commit(f, value):
             new.commit(f, value)
             old.commit(f, value)
+            current[f] = value
             assert np.array_equal(new._total, old._total)
+
+        def sweep(step):
+            """Try every coordinate, as one descent sweep does."""
+            for f in range(f_count):
+                tried(f, max(0.0, current[f] - step))
 
         same(new.attach(p_u, p_e), old.attach(p_u, p_e))
         # a commit on a coordinate that was never tried
-        commit(int(rng.integers(f_count)), 0.05)
+        commit(int(rng.integers(f_count)), scale * 0.05)
         same(new.estimate(p_u, p_e), old.estimate(p_u, p_e))
         for _ in range(40):
             f = int(rng.integers(f_count))
-            value = float(rng.uniform(0.0, 0.3))
-            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
-            same(new.try_coordinate(f, 0.0), old.try_coordinate(f, 0.0))
-            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
+            value = scale * float(rng.uniform(0.0, 0.3))
+            tried(f, value)
+            tried(f, 0.0)
+            tried(f, value)
+            tried(f, 1.5 * current[f] + scale * 0.01)  # above the current value
+            tried(f, current[f])
             commit(f, value)  # the value just tried
-            same(new.try_coordinate(f, value), old.try_coordinate(f, value))
-            commit(f, float(rng.uniform(0.0, 0.3)))  # not the value last tried
+            tried(f, value)
+            commit(f, scale * float(rng.uniform(0.0, 0.3)))  # not the value last tried
             g = int(rng.integers(f_count))
-            same(new.try_coordinate(g, 0.0), old.try_coordinate(g, 0.0))
+            tried(g, 0.0)
             commit(g, 0.0)
             commit(g, 0.0)  # the same value twice
-            commit(int(rng.integers(f_count)), float(rng.uniform(0.0, 0.3)))
+            commit(int(rng.integers(f_count)), scale * float(rng.uniform(0.0, 0.3)))
+            # a sweep with no change retries every coordinate at half the step
+            step = scale * float(rng.uniform(0.0, 0.05))
+            sweep(step)
+            sweep(step / 2.0)
+            # after a commit on one coordinate, every other one is tried again
+            commit(int(rng.integers(f_count)), scale * float(rng.uniform(0.0, 0.3)))
+            sweep(step / 2.0)
         # a try made before a fresh attach is not reused
-        same(new.try_coordinate(0, 0.1), old.try_coordinate(0, 0.1))
+        tried(0, scale * 0.1)
+        sweep(0.0)
         same(new.attach(2.0 * p_u, p_e), old.attach(2.0 * p_u, p_e))
-        commit(0, 0.1)
+        current[:] = 2.0 * p_u
+        tried(0, scale * 0.1)
+        sweep(0.0)
+        commit(0, scale * 0.1)
+
+        if f_count == 1 or scale == 1.0:
+            # every draw can be in outage: the tries run on the full columns
+            assert set(slice_lengths) == {4_000}
+        elif f_count == 12:
+            assert min(slice_lengths) <= 4_000 // 4
+
+    def test_ties_at_the_target_are_pivotal(self):
+        # with r_u = 0 the target is 0; a lone powered resource has
+        # fl(total - rate) == 0 on every draw, so lowering it to 0 is an
+        # outage everywhere, while no other resource has a pivotal draw
+        args = (snr_db_to_gain(40.0), 12, 0.0, 4_000, 32)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        slice_lengths = record_slices(new)
+        p_u, p_e = np.zeros(12), np.zeros(12)
+        p_u[5] = 1.0
+        assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat == 0.0
+        for f in range(12):
+            for value in (0.0, 0.5, 1.0, 2.0):
+                assert new.try_coordinate(f, value).p_hat == old.try_coordinate(f, value).p_hat
+        assert new.try_coordinate(5, 0.0).p_hat == 1.0
+        assert sorted(set(slice_lengths)) == [0, 4_000]
 
     def test_descent_on_a_c8_drop_matches_oracle(self):
         grid = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
@@ -291,13 +362,16 @@ class TestCachedColumnsAreBitExact:
             level *= 1.25
         start = np.maximum(level, floor)
         options = BcdOptions(draws=draws)
-        new_p, new_sweeps = descend_urllc_power(
-            start, floor, p_e, CommonRandomOutage(gamma_u, grid.F, r_u, draws, 5), eps, options)
+        crn = CommonRandomOutage(gamma_u, grid.F, r_u, draws, 5)
+        slice_lengths = record_slices(crn)
+        new_p, new_sweeps = descend_urllc_power(start, floor, p_e, crn, eps, options)
         old_p, old_sweeps = descend_urllc_power(start, floor, p_e, oracle, eps, options)
         assert np.array_equal(new_p, old_p)
         assert new_sweeps == old_sweeps
         # the descent both rejects moves and leaves entries above the floor
         assert new_sweeps > 10 and np.any(new_p > floor)
+        # and the screen gathers selective slices, not only full columns
+        assert min(slice_lengths) <= draws // 4
 
 
 class TestDistributionalProperties:

@@ -1,11 +1,13 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
 import slicepower.sweep
-from slicepower import SlicePowerError, embb_stage, load_config, scheme_f_u_count
+from slicepower import (SlicePowerError, TableExhaustedError, build_table, embb_stage,
+                        load_config, save_table, scheme_f_u_count)
 from slicepower.channel import drop
 from slicepower.sweep import ensure_table, run_sweep, table_path
 
@@ -117,6 +119,44 @@ class TestRunSweep:
         noma = [r for r in records if r.scheme == "noma" and r.algorithm == "bcd"]
         oma = [r for r in records if r.scheme == "oma-3"]
         assert noma[0].mean_total_dbm < oma[0].mean_total_dbm
+
+
+class TestInterferencePreflight:
+    """A table whose interference axis cannot cover the drops fails before
+    any table is built and before any allocation."""
+
+    @staticmethod
+    def forbid(monkeypatch, *names):
+        for name in names:
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} ran before the preflight")
+            monkeypatch.setattr(slicepower.sweep, name, refuse)
+
+    def test_auto_build_beyond_the_default_axis(self, tmp_path, monkeypatch):
+        # triple the broadband load at 400 m: the worst NOMA power is
+        # about 40 dBm, above the default axis's 30 dBm top row
+        cfg = fast_config(tmp_path, n_e=3 * 8640.0, d_e=(400.0,), d_u=(100.0,),
+                          schemes=("noma",), algorithms=("fea",))
+        self.forbid(monkeypatch, "build_table", "allocate")
+        with pytest.raises(TableExhaustedError, match=r"d_e = 400 m: interference 39\.98 dBm"):
+            run_sweep(cfg, out_dir=None)
+
+    def test_loaded_table_below_the_worst_power(self, tmp_path, monkeypatch):
+        cfg = fast_config(tmp_path, auto_build_tables=False, d_u=(100.0,),
+                          schemes=("noma",), algorithms=("fea",))
+        grid, traffic = cfg.grid(), cfg.traffic()
+        stage = embb_stage(grid, traffic, drop(cfg.seed, 0, cfg.mean_gain(146.9), grid.F),
+                           *scheme_f_u_count("noma", grid.F), cfg.m_u)
+        gamma_u = cfg.mean_gain(100.0)
+        table = build_table(gamma_u, stage.sets.F_u, stage.r_u, 200, cfg.seed,
+                            axis_pu_dbm=[0.0, 30.0], axis_pe_dbm=[-math.inf, -30.0])
+        path = table_path(cfg, gamma_u, stage.sets.F_u, stage.r_u)
+        os.makedirs(os.path.dirname(path))
+        save_table(table, path)
+        self.forbid(monkeypatch, "allocate")
+        with pytest.raises(TableExhaustedError,
+                           match=r"d_e = 146.9 m: .* exceeds the table's -30.00 dBm"):
+            run_sweep(cfg, out_dir=None)
 
 
 class TestBroadbandRow40dB:
