@@ -35,15 +35,17 @@ _LN2 = math.log(2.0)
 _CHUNK = 1 << 19
 #: draws per block when copying between draw-major and resource-major order
 _ROWS = 1 << 12
+#: slack ``s`` of the cached pivotal slices, as a share of the target
+_SLACK = 0.01
 
 
-def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray) -> np.ndarray:
+def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray, out=None) -> np.ndarray:
     """ln(1 + gamma*p_u / (1 + gamma*p_e)), broadcast to the shape of ``den``.
 
     ``den`` receives ``1 + gamma*p_e``; it may be ``gamma`` itself, which
-    is then overwritten.
+    is then overwritten.  The rates go to ``out`` or a new array.
     """
-    rate = np.multiply(gamma, p_u, out=np.empty_like(den))
+    rate = np.multiply(gamma, p_u, out=np.empty_like(den) if out is None else out)
     np.multiply(gamma, p_e, out=den)
     den += 1.0
     rate /= den
@@ -115,8 +117,10 @@ def _target_nats(gamma_u_mean: float, samples: int, f_count: int, r_u: float) ->
     """Outage target ``F_u * r_u`` in nats, once the sampling setup is checked."""
     if samples < 1:
         raise ValueError(f"need at least one fading draw, got {samples}")
-    if gamma_u_mean <= 0.0:
-        raise ValueError("mean SNR must be positive")
+    if not 0.0 < gamma_u_mean < math.inf:
+        raise ValueError(f"mean SNR must be positive and finite, got {gamma_u_mean}")
+    if f_count < 1 or not 0.0 <= r_u < math.inf:
+        raise ValueError(f"need F_u >= 1 and a finite rate r_u >= 0, got {f_count}, {r_u}")
     return f_count * r_u * _LN2
 
 
@@ -200,27 +204,32 @@ class CommonRandomOutage:
     power coordinate can only grow the outage count.
 
     The draws are kept resource-major, one contiguous column per
-    resource.  :meth:`attach` also caches, per resource, the rate column
-    ``ln(1 + g Pu / (1 + g Pe))`` and the denominator ``1 + g Pe``, next
-    to the per-draw totals.  A coordinate try for resource ``f`` counts
-    ``fl(total + fl(col - rate_f)) <= target`` over the pivotal draws
-    ``fl(total - rate_f) <= target`` only.  No other draw can be in
-    outage at any power: ``log1p`` of a non-negative ratio is at least 0,
-    so ``fl(col - rate_f) >= -rate_f``, and rounded addition and
-    subtraction are monotone.  Each resource's pivotal draws, rate
-    columns and totals are gathered once into a slab and reused until the
-    next :meth:`commit` or :meth:`attach`; a resource with more than
-    ``draws / 4`` pivotal draws uses its full columns instead.
+    resource.  :meth:`attach` caches, per resource, the rate column
+    ``ln(1 + g Pu / (1 + g Pe))`` and the per-draw totals.  A try for
+    resource ``f`` counts ``fl(total + fl(col - rate_f)) <= target`` over
+    a superset of the pivotal draws ``fl(total - rate_f) <= target``: no
+    other draw can be in outage at any power, as ``fl(col - rate_f) >=
+    -rate_f`` and rounded addition and subtraction are monotone.  The
+    slice of ``f`` keeps the indices, draws, denominators ``1 + g Pe``
+    and rates of the draws with ``fl(total - rate_f) <= target (1 + s)``;
+    a try gathers the current totals there.  The drift bounds the fall of
+    any total since :meth:`attach`: a commit that lowers a power adds its
+    largest fall plus one ulp of the largest total (the rounding of
+    ``total += delta``), rounded up.  A slice is reused while the drift
+    since its build stays below ``target s`` (less one ulp of the
+    target), and dropped by a commit on ``f``.  A slice of over a
+    quarter of the draws runs on the full columns and never expires.
 
-    An attached estimator holds 3 x draws x F_u float64 (the draws and
-    both caches) plus the totals and five draws-long buffers (the
-    four-row slab and one column).  Draw-major copies are made in blocks
-    of ``_ROWS`` draws, so no fourth ``draws x F_u`` block is ever
-    needed.  Every estimate is bit-identical to a full recompute.
+    An attached estimator holds 2 x draws x F_u float64 (the draws and
+    rates), the totals, two draws-long buffers and the slices: four
+    values per gathered draw, or a denominator column per full slice, so
+    at most one more block.  Estimates are bit-identical to a full recompute.
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
         self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
+        self._reach = self.target_nats * (1.0 + _SLACK)
+        self._margin = self._reach - math.nextafter(self.target_nats, math.inf)  # exact (Sterbenz)
         gen = rngmod.substream(seed, "crn")
         # drawn in the order of one (draws, F_u) block, stored resource-major
         self._gamma = np.empty((f_count, draws))
@@ -228,61 +237,53 @@ class CommonRandomOutage:
             block = gen.standard_exponential((min(_ROWS, draws - start), f_count))
             block *= gamma_u_mean
             self._gamma[:, start:start + len(block)] = block.T
-        self.draws = draws
-        self.f_count = f_count
+        self.draws, self.f_count = draws, f_count
         self._total = None  # set, with the cached columns, by attach()
 
     def _estimate(self, total_nats: np.ndarray) -> OutageEstimate:
         return OutageEstimate.from_counts(_outages(total_nats, self.target_nats), self.draws)
 
     def _columns(self, p_u: np.ndarray, p_e: np.ndarray):
-        """Rate and denominator columns at checked vectors, and the per-draw totals."""
-        den = np.empty_like(self._gamma)
-        rate = _sinr_rate_nats(self._gamma, p_u[:, None], p_e[:, None], den)
+        """Rate columns at checked vectors, and the per-draw totals."""
+        rate = np.empty_like(self._gamma)
+        den = np.empty(self.draws)
+        for f, g in enumerate(self._gamma):
+            _sinr_rate_nats(g, p_u[f], p_e[f], den, out=rate[f])
         # summed draw-major, as the pairwise row sums of (rows, F_u) blocks
         total = np.empty(self.draws)
         for start in range(0, self.draws, _ROWS):
             stop = start + _ROWS
             np.ascontiguousarray(rate[:, start:stop].T).sum(axis=1, out=total[start:stop])
-        return rate, den, total
+        return rate, total
 
     def estimate(self, p_u, p_e) -> OutageEstimate:
         """Outage estimate at an arbitrary vector pair (full recompute)."""
         p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
-        return self._estimate(self._columns(p_u, p_e)[2])
+        return self._estimate(self._columns(p_u, p_e)[1])
 
     # -- coordinate-update session -------------------------------------
 
     def attach(self, p_u, p_e) -> OutageEstimate:
         """Fix the working vectors and cache the columns and per-draw totals."""
-        p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
-        self._rate, self._den, self._total = self._columns(p_u, p_e)
-        self._col = np.empty(self.draws)
-        self._slab = np.empty((4, self.draws))
-        self._drop_slices()
+        p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
+        self._rate, self._total = self._columns(p_u, self._p_e)
+        self._col, self._sum = np.empty(self.draws), np.empty(self.draws)
+        self._slices, self._drift = {}, 0.0
         return self._estimate(self._total)
 
-    def _drop_slices(self) -> None:
-        self._slices, self._slab_used = {}, 0
-
     def _slice(self, f: int):
-        """Draws, denominators, rates and totals of resource ``f``'s pivotal draws."""
+        """Draws, denominators, rates and indices (None: all) of ``f``'s pivotal superset."""
         cached = self._slices.get(f)
-        if cached is None:
-            rest = np.subtract(self._total, self._rate[f], out=self._col)
-            pivotal = np.flatnonzero(rest <= self.target_nats)
-            columns = (self._gamma[f], self._den[f], self._rate[f], self._total)
-            if pivotal.size > self.draws // 4:
-                cached = columns
-            else:
-                if self._slab_used + pivotal.size > self.draws:
-                    self._drop_slices()
-                cached = self._slab[:, self._slab_used:self._slab_used + pivotal.size]
-                self._slab_used += pivotal.size
-                for column, row in zip(columns, cached):
-                    np.take(column, pivotal, out=row)
-            self._slices[f] = cached
-        return cached
+        if cached is None or not self._drift - cached[4] < self._margin:
+            g, rate = self._gamma[f], self._rate[f]
+            idx = np.flatnonzero(np.subtract(self._total, rate, out=self._col) <= self._reach)
+            if idx.size > self.draws // 4:
+                idx = None  # a full slice, built as if at an infinite drift: it never expires
+            g, rate = (g, rate) if idx is None else (g[idx], rate[idx])
+            den = np.multiply(g, self._p_e[f])
+            den += 1.0
+            cached = self._slices[f] = (g, den, rate, idx, math.inf if idx is None else self._drift)
+        return cached[:4]
 
     def _check(self, value: float) -> None:
         if self._total is None:
@@ -290,27 +291,26 @@ class CommonRandomOutage:
         if value < 0.0:
             raise ValueError("powers must be non-negative")
 
-    def _rate_column(self, g: np.ndarray, den: np.ndarray, value: float) -> np.ndarray:
-        """``ln(1 + g value / den)`` in the column buffer."""
-        col = np.multiply(g, value, out=self._col[:len(g)])
-        col /= den
-        return np.log1p(col, out=col)
-
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
         self._check(value)
-        g, den, rate, total = self._slice(f)
-        col = self._rate_column(g, den, value)
+        g, den, rate, idx = self._slice(f)
+        col = np.multiply(g, value, out=self._col[:len(g)])
+        col /= den
+        np.log1p(col, out=col)
         col -= rate
-        col += total
+        col += self._total if idx is None else np.take(self._total, idx, out=self._sum[:len(idx)])
         return self._estimate(col)
 
     def commit(self, f: int, value: float) -> None:
-        """Adopt the coordinate change; the cached slices are dropped."""
+        """Adopt the change; drop ``f``'s slice and add the largest fall to the drift."""
         self._check(value)
-        col = self._rate_column(self._gamma[f], self._den[f], value)
-        rate = self._rate[f]
-        np.subtract(col, rate, out=rate)  # the change of each total
-        self._total += rate
-        rate[:] = col
-        self._drop_slices()
+        col = _sinr_rate_nats(self._gamma[f], value, self._p_e[f], self._sum, out=self._col)
+        delta = np.subtract(col, self._rate[f], out=self._sum)  # the change of each total
+        self._total += delta
+        self._rate[f] = col
+        self._slices.pop(f, None)
+        fall = -delta.min()
+        if fall > 0.0:  # fl(total + delta) is short by at most half an ulp of the largest total
+            big = max(self._total.max(), -self._total.min())
+            self._drift = math.nextafter(self._drift + fall + math.ulp(big), math.inf)

@@ -70,6 +70,15 @@ class TestTableCommands:
         assert main(["table", "query", "--table", str(out), "--pe", "none",
                      "--eps", "1e-2"]) == 0
 
+    @pytest.mark.parametrize("gamma_db, f_u, r_u", [("30", "0", "1"), ("30", "3", "-1"),
+                                                    ("nan", "3", "1")])
+    def test_build_rejects_bad_sampling_setup(self, tmp_path, capsys, gamma_db, f_u, r_u):
+        out = tmp_path / "t.npz"
+        rc = main(["table", "build", "--gamma-u-db", gamma_db, "--f-u", f_u, "--r-u", r_u,
+                   "--trials", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_query_missing_file_fails(self, tmp_path, capsys):
         rc = main(["table", "query", "--table", str(tmp_path / "nope.npz"),
                    "--pe", "none", "--eps", "1e-2"])

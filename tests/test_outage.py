@@ -5,7 +5,6 @@ import pytest
 
 from slicepower import (
     CommonRandomOutage,
-    OutageEstimate,
     ResourceGrid,
     Scheme,
     ZeroInterferenceError,
@@ -20,9 +19,10 @@ from slicepower import (
 from slicepower.alloc import BcdOptions, descend_urllc_power
 from slicepower.channel import drop
 from slicepower.grid import spectral_efficiency
-from slicepower.rng import substream
 from slicepower.units import snr_db_to_gain
 from slicepower.waterfill import embb_power, sic_power
+
+from oracles import UncachedCommonRandomOutage
 
 
 class TestMutualInformation:
@@ -95,6 +95,18 @@ class TestEstimateOutage:
         with pytest.raises(ValueError):
             estimate_outage([1.0], [0.0], 0.0, 1.0, 10, seed=1)
 
+    def test_rejects_no_resources_and_bad_rates_or_snrs(self):
+        with pytest.raises(ValueError, match="F_u >= 1"):
+            estimate_outage([], [], 1.0, 1.0, 10, seed=1)
+        for r_u in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite rate"):
+                estimate_outage([1.0], [0.0], 1.0, r_u, 10, seed=1)
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mean SNR"):
+                estimate_outage([1.0], [0.0], gamma, 1.0, 10, seed=1)
+        # a zero rate is a legal, always-met target
+        assert estimate_outage([1.0], [0.0], 1.0, 0.0, 10, seed=1).p_hat == 0.0
+
 
 class TestSingleFrequencyPower:
     def test_reference_point(self):
@@ -164,6 +176,9 @@ class TestCommonRandomOutage:
         for gamma, draws in ((0.0, 1000), (-1.0, 1000), (1.0, 0)):
             with pytest.raises(ValueError):
                 CommonRandomOutage(gamma, 2, 1.0, draws=draws, seed=1)
+        for f_count, r_u in ((0, 1.0), (2, -1.0)):
+            with pytest.raises(ValueError):
+                CommonRandomOutage(1.0, f_count, r_u, draws=1000, seed=1)
 
     def test_rejects_negative_powers(self):
         crn = CommonRandomOutage(1.0, 2, 1.0, draws=1000, seed=1)
@@ -183,63 +198,34 @@ class TestCommonRandomOutage:
             crn.try_coordinate(0, 1.0)
 
 
-class UncachedCommonRandomOutage:
-    """Oracle: the frozen-draw estimator before its columns were cached.
+class SliceLog:
+    """Spy on ``crn``'s pivotal slices: the length each try runs on, and
+    why each slice was built or reused."""
 
-    The draws are draw-major and every try or commit recomputes the rate
-    column at both the current and the new value.
-    """
+    def __init__(self, crn):
+        self.lengths = []
+        self.builds = self.drift_builds = self.reused_across_commits = 0
+        commits, built_at = [0], {}
+        lookup, commit = crn._slice, crn.commit
 
-    def __init__(self, gamma_u_mean, f_count, r_u, draws, seed):
-        self.target_nats = f_count * r_u * math.log(2.0)
-        self.gamma = gamma_u_mean * substream(seed, "crn").standard_exponential((draws, f_count))
-        self.draws = draws
-        self.f_count = f_count
+        def spy_lookup(f):
+            before = crn._slices.get(f)
+            columns = lookup(f)
+            self.lengths.append(len(columns[0]))
+            if crn._slices[f] is not before:
+                self.builds += 1
+                # a commit on f drops f's slice, so a slice still there had drifted out
+                self.drift_builds += before is not None
+                built_at[f] = commits[0]
+            elif built_at[f] < commits[0]:
+                self.reused_across_commits += 1
+            return columns
 
-    @staticmethod
-    def _rate(gamma, p_u, p_e):
-        num = gamma * p_u
-        den = 1.0 + gamma * p_e
-        return np.log1p(num / den)
+        def spy_commit(f, value):
+            commits[0] += 1
+            commit(f, value)
 
-    def _estimate(self, total):
-        return OutageEstimate.from_counts(int((total <= self.target_nats).sum()), self.draws)
-
-    def estimate(self, p_u, p_e):
-        p_u = np.broadcast_to(np.asarray(p_u, float), (self.f_count,))
-        p_e = np.broadcast_to(np.asarray(p_e, float), (self.f_count,))
-        return self._estimate(self._rate(self.gamma, p_u, p_e).sum(axis=1))
-
-    def attach(self, p_u, p_e):
-        self._p_u = np.array(np.broadcast_to(np.asarray(p_u, float), (self.f_count,)))
-        self._p_e = np.array(np.broadcast_to(np.asarray(p_e, float), (self.f_count,)))
-        self._total = self._rate(self.gamma, self._p_u, self._p_e).sum(axis=1)
-        return self._estimate(self._total)
-
-    def _delta(self, f, value):
-        g, p_e_f = self.gamma[:, f], self._p_e[f]
-        return self._rate(g, value, p_e_f) - self._rate(g, self._p_u[f], p_e_f)
-
-    def try_coordinate(self, f, value):
-        return self._estimate(self._total + self._delta(f, value))
-
-    def commit(self, f, value):
-        self._total += self._delta(f, value)
-        self._p_u[f] = value
-
-
-def record_slices(crn):
-    """Wrap ``crn``'s pivotal-slice lookup; the returned list gets each slice's length."""
-    lengths = []
-    lookup = crn._slice
-
-    def spy(f):
-        columns = lookup(f)
-        lengths.append(len(columns[0]))
-        return columns
-
-    crn._slice = spy
-    return lengths
+        crn._slice, crn.commit = spy_lookup, spy_commit
 
 
 class TestCachedColumnsAreBitExact:
@@ -254,7 +240,7 @@ class TestCachedColumnsAreBitExact:
     @pytest.mark.parametrize("f_count", [1, 3, 12])
     @pytest.mark.parametrize("interfered", [False, True])
     def test_selective_call_sequence_matches_oracle(self, f_count, interfered):
-        # the 12-resource slices are selective and overflow the slab within a sweep
+        # the 12-resource slices are selective and outlive or outgrow commits
         self.check_call_sequence(f_count, interfered, scale=300.0)
 
     @staticmethod
@@ -262,7 +248,7 @@ class TestCachedColumnsAreBitExact:
         rng = np.random.default_rng(100 + f_count + 7 * interfered)
         args = (snr_db_to_gain(20.0), f_count, 1.0, 4_000, 31)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
-        slice_lengths = record_slices(new)
+        log = SliceLog(new)
         p_e = rng.uniform(0.0, 0.5, f_count) if interfered else np.zeros(f_count)
         p_u = scale * rng.uniform(0.02, 0.2, f_count)
         current = p_u.copy()
@@ -323,9 +309,10 @@ class TestCachedColumnsAreBitExact:
 
         if f_count == 1 or scale == 1.0:
             # every draw can be in outage: the tries run on the full columns
-            assert set(slice_lengths) == {4_000}
+            assert set(log.lengths) == {4_000}
         elif f_count == 12:
-            assert min(slice_lengths) <= 4_000 // 4
+            assert min(log.lengths) <= 4_000 // 4
+            assert log.drift_builds >= 1 and log.reused_across_commits >= 1
 
     def test_ties_at_the_target_are_pivotal(self):
         # with r_u = 0 the target is 0; a lone powered resource has
@@ -333,7 +320,7 @@ class TestCachedColumnsAreBitExact:
         # outage everywhere, while no other resource has a pivotal draw
         args = (snr_db_to_gain(40.0), 12, 0.0, 4_000, 32)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
-        slice_lengths = record_slices(new)
+        slice_lengths = SliceLog(new).lengths
         p_u, p_e = np.zeros(12), np.zeros(12)
         p_u[5] = 1.0
         assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat == 0.0
@@ -363,7 +350,7 @@ class TestCachedColumnsAreBitExact:
         start = np.maximum(level, floor)
         options = BcdOptions(draws=draws)
         crn = CommonRandomOutage(gamma_u, grid.F, r_u, draws, 5)
-        slice_lengths = record_slices(crn)
+        log = SliceLog(crn)
         new_p, new_sweeps = descend_urllc_power(start, floor, p_e, crn, eps, options)
         old_p, old_sweeps = descend_urllc_power(start, floor, p_e, oracle, eps, options)
         assert np.array_equal(new_p, old_p)
@@ -371,7 +358,55 @@ class TestCachedColumnsAreBitExact:
         # the descent both rejects moves and leaves entries above the floor
         assert new_sweeps > 10 and np.any(new_p > floor)
         # and the screen gathers selective slices, not only full columns
-        assert min(slice_lengths) <= draws // 4
+        assert min(log.lengths) <= draws // 4
+        # slices outlive other coordinates' commits
+        assert log.builds <= len(log.lengths) // 3 and log.reused_across_commits >= 1
+        # the descent's falls stay inside the slack; a run of deep cuts on
+        # one coordinate, from well above the start, outgrows the others' slices
+        high = 4.0 * start
+        assert crn.attach(high, p_e).p_hat == oracle.attach(high, p_e).p_hat
+        for value in high[0] * 0.7 ** np.arange(1, 9):
+            crn.commit(0, value)
+            oracle.commit(0, value)
+            for f in range(1, grid.F):
+                for trial in (0.5 * high[f], floor[f]):
+                    new, old = crn.try_coordinate(f, trial), oracle.try_coordinate(f, trial)
+                    assert new.p_hat == old.p_hat
+        assert np.array_equal(crn._total, oracle._total)
+        assert log.drift_builds >= 1 and min(log.lengths) <= draws // 4
+
+    def test_drift_allows_for_the_rounding_of_the_totals(self):
+        # Four equal draws of unit gain.  Resource 0 carries about 40 nats,
+        # so every total sits on the grid of q = ulp(40), far coarser than
+        # the target's.  Resource 1 puts fl(total - rate_0) one grid step
+        # above resource 0's slice reach, so that slice is empty.  A commit
+        # then lowers resource 1 by less than the reuse margin, yet
+        # total += delta rounds down onto the target: only the rounding
+        # allowance in the drift makes resource 0's slice be rebuilt.
+        p_0, q = math.expm1(40.0), math.ulp(40.0)
+        for k in range(4_000):
+            args = (1.0, 2, 0.5 + k * 2.0**-44, 4, 33)
+            new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+            new._gamma[:], old.gamma[:] = 1.0, 1.0
+            t, reach, margin = new.target_nats, new._reach, new._margin
+            p_u = [p_0, math.expm1((math.floor(reach / q) + 1) * q)]
+            old.attach(p_u, [0.0, 0.0])
+            rest = old._total[0] - old._rate(1.0, p_0, 0.0)
+            # the fall that leaves rest a quarter step above a grid point at or below t
+            value = math.expm1(math.log1p(p_u[1]) - (rest - (math.floor(t / q) + 0.25) * q))
+            fall = -old._delta(1, value)[0]
+            if rest > reach and fall + q / 8.0 < margin:
+                old.commit(1, value)
+                if old.try_coordinate(0, 0.0).p_hat == 1.0:
+                    break
+        else:
+            pytest.fail("no rounding knife-edge found")
+        log = SliceLog(new)
+        assert new.attach(p_u, [0.0, 0.0]).p_hat == 0.0
+        assert new.try_coordinate(0, 0.0).p_hat == 0.0 and log.lengths == [0]
+        new.commit(1, value)
+        assert np.array_equal(new._total, old._total)
+        assert new.try_coordinate(0, 0.0).p_hat == 1.0 and log.drift_builds == 1
 
 
 class TestDistributionalProperties:
