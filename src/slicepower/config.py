@@ -78,6 +78,9 @@ class ScenarioConfig:
         for name in ("drops",) + _SAMPLE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("mu0_fraction", "tau"):  # the descent's first step and its stop
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # the derived objects check F and M, epsilon_u, the window and the path loss
         self.grid()
         self.traffic()

@@ -35,8 +35,9 @@ _LN2 = math.log(2.0)
 _CHUNK = 1 << 19
 #: draws per block when copying between draw-major and resource-major order
 _ROWS = 1 << 12
-#: slack ``s`` of the cached pivotal slices, as a share of the target
-_SLACK = 0.01
+#: margin of the near set: its width grows with a try's largest fall by
+#: this share and this many nats, far above the rounding of any rate or total
+_BAND = 1e-6
 
 
 def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray, out=None) -> np.ndarray:
@@ -205,31 +206,27 @@ class CommonRandomOutage:
 
     The draws are kept resource-major, one contiguous column per
     resource.  :meth:`attach` caches, per resource, the rate column
-    ``ln(1 + g Pu / (1 + g Pe))`` and the per-draw totals.  A try for
-    resource ``f`` counts ``fl(total + fl(col - rate_f)) <= target`` over
-    a superset of the pivotal draws ``fl(total - rate_f) <= target``: no
-    other draw can be in outage at any power, as ``fl(col - rate_f) >=
-    -rate_f`` and rounded addition and subtraction are monotone.  The
-    slice of ``f`` keeps the indices, draws, denominators ``1 + g Pe``
-    and rates of the draws with ``fl(total - rate_f) <= target (1 + s)``;
-    a try gathers the current totals there.  The drift bounds the fall of
-    any total since :meth:`attach`: a commit that lowers a power adds its
-    largest fall plus one ulp of the largest total (the rounding of
-    ``total += delta``), rounded up.  A slice is reused while the drift
-    since its build stays below ``target s`` (less one ulp of the
-    target), and dropped by a commit on ``f``.  A slice of over a
-    quarter of the draws runs on the full columns and never expires.
+    ``ln(1 + g Pu / (1 + g Pe))`` and the per-draw totals.  A try moving
+    resource ``f`` from ``p`` to ``v`` counts ``fl(total + fl(col -
+    rate_f)) <= target`` over the near set only: the draws whose total is
+    at most ``target + W``, with ``W >= max(0, ln(p/v)) (1 + b) + b`` and
+    ``b = 1e-6``.  As ``ln(1 + a p) - ln(1 + a v) <= ln(p/v)`` for
+    ``v < p`` and any ``a >= 0``, a move lowers no total by more than
+    ``ln(p/v)`` and a raise lowers none, up to rounding far below ``b``
+    nats, so no other draw can be in outage.  The near set, with each
+    tried resource's draws, denominators ``1 + g Pe`` and rates in it, is
+    built on the first try after :meth:`attach` or :meth:`commit` and
+    rebuilt wider when a try needs a larger ``W``.  A try to ``v = 0``
+    (an unbounded fall) runs on the full columns.
 
     An attached estimator holds 2 x draws x F_u float64 (the draws and
-    rates), the totals, two draws-long buffers and the slices: four
-    values per gathered draw, or a denominator column per full slice, so
-    at most one more block.  Estimates are bit-identical to a full recompute.
+    rates), the totals, two draws-long buffers and four values per near
+    draw and tried resource.  Estimates are bit-identical to a full
+    recompute.
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
         self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
-        self._reach = self.target_nats * (1.0 + _SLACK)
-        self._margin = self._reach - math.nextafter(self.target_nats, math.inf)  # exact (Sterbenz)
         gen = rngmod.substream(seed, "crn")
         # drawn in the order of one (draws, F_u) block, stored resource-major
         self._gamma = np.empty((f_count, draws))
@@ -265,52 +262,55 @@ class CommonRandomOutage:
 
     def attach(self, p_u, p_e) -> OutageEstimate:
         """Fix the working vectors and cache the columns and per-draw totals."""
-        p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
-        self._rate, self._total = self._columns(p_u, self._p_e)
-        self._col, self._sum = np.empty(self.draws), np.empty(self.draws)
-        self._slices, self._drift = {}, 0.0
+        self._p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
+        self._rate, self._total = self._columns(self._p_u, self._p_e)
+        self._col, self._den = np.empty(self.draws), np.empty(self.draws)
+        self._near = None
         return self._estimate(self._total)
 
-    def _slice(self, f: int):
-        """Draws, denominators, rates and indices (None: all) of ``f``'s pivotal superset."""
-        cached = self._slices.get(f)
-        if cached is None or not self._drift - cached[4] < self._margin:
-            g, rate = self._gamma[f], self._rate[f]
-            idx = np.flatnonzero(np.subtract(self._total, rate, out=self._col) <= self._reach)
-            if idx.size > self.draws // 4:
-                idx = None  # a full slice, built as if at an infinite drift: it never expires
-            g, rate = (g, rate) if idx is None else (g[idx], rate[idx])
+    def _near_columns(self, f: int, width: float):
+        """Draws, denominators, rates and totals of ``f`` over a near set at least ``width`` wide."""
+        if self._near is None or self._near[0] < width:
+            idx = np.flatnonzero(self._total <= self.target_nats + width)
+            self._near = (width, idx, self._total[idx], {})
+        _, idx, total, gathered = self._near
+        if f not in gathered:
+            g = self._gamma[f][idx]
             den = np.multiply(g, self._p_e[f])
             den += 1.0
-            cached = self._slices[f] = (g, den, rate, idx, math.inf if idx is None else self._drift)
-        return cached[:4]
+            gathered[f] = (g, den, self._rate[f][idx])
+        return (*gathered[f], total)
 
-    def _check(self, value: float) -> None:
+    def _check(self, f: int, value: float) -> None:
         if self._total is None:
             raise RuntimeError("attach() a working vector first")
+        if not 0 <= f < self.f_count:
+            raise ValueError(f"resource {f} is outside 0..{self.f_count - 1}")
         if value < 0.0:
             raise ValueError("powers must be non-negative")
 
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
-        self._check(value)
-        g, den, rate, idx = self._slice(f)
+        self._check(f, value)
+        p_f = self._p_u[f]
+        fall = 0.0 if value >= p_f else math.log(p_f / value) if value > 0.0 else math.inf
+        if fall < math.inf:
+            g, den, rate, total = self._near_columns(f, fall * (1.0 + _BAND) + _BAND)
+        else:
+            g, rate, total = self._gamma[f], self._rate[f], self._total
+            den = np.multiply(g, self._p_e[f], out=self._den)
+            den += 1.0
         col = np.multiply(g, value, out=self._col[:len(g)])
         col /= den
         np.log1p(col, out=col)
         col -= rate
-        col += self._total if idx is None else np.take(self._total, idx, out=self._sum[:len(idx)])
+        col += total
         return self._estimate(col)
 
     def commit(self, f: int, value: float) -> None:
-        """Adopt the change; drop ``f``'s slice and add the largest fall to the drift."""
-        self._check(value)
-        col = _sinr_rate_nats(self._gamma[f], value, self._p_e[f], self._sum, out=self._col)
-        delta = np.subtract(col, self._rate[f], out=self._sum)  # the change of each total
-        self._total += delta
+        """Adopt the change and drop the near set."""
+        self._check(f, value)
+        col = _sinr_rate_nats(self._gamma[f], value, self._p_e[f], self._den, out=self._col)
+        self._total += np.subtract(col, self._rate[f], out=self._den)  # the change of each total
         self._rate[f] = col
-        self._slices.pop(f, None)
-        fall = -delta.min()
-        if fall > 0.0:  # fl(total + delta) is short by at most half an ulp of the largest total
-            big = max(self._total.max(), -self._total.min())
-            self._drift = math.nextafter(self._drift + fall + math.ulp(big), math.inf)
+        self._p_u[f], self._near = value, None

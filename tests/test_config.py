@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 import os
 
 import pytest
@@ -140,6 +141,16 @@ class TestValidation:
         ("d_u", (5.0,), "5 m is outside the 500 m cell"),  # inside d0 = 10 m
         ("d_u", (5000.0,), "5000 m is outside the 500 m cell"),
         ("gamma_e_db", (10.0,), "1469.06 m is outside the 500 m cell"),
+        # a non-positive or NaN step returns the start with 0 sweeps; tau <= 0
+        # halves the step until it underflows
+        ("mu0_fraction", 0.0, "mu0_fraction must be positive and finite"),
+        ("mu0_fraction", -0.1, "mu0_fraction must be positive and finite"),
+        ("mu0_fraction", math.nan, "mu0_fraction must be positive and finite"),
+        ("mu0_fraction", math.inf, "mu0_fraction must be positive and finite"),
+        ("tau", 0.0, "tau must be positive and finite"),
+        ("tau", -1e-7, "tau must be positive and finite"),
+        ("tau", math.nan, "tau must be positive and finite"),
+        ("tau", math.inf, "tau must be positive and finite"),
     ])
     def test_rejected_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):

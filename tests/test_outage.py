@@ -19,6 +19,7 @@ from slicepower import (
 from slicepower.alloc import BcdOptions, descend_urllc_power
 from slicepower.channel import drop
 from slicepower.grid import spectral_efficiency
+from slicepower.outage import _sinr_rate_nats
 from slicepower.units import snr_db_to_gain
 from slicepower.waterfill import embb_power, sic_power
 
@@ -197,35 +198,41 @@ class TestCommonRandomOutage:
         with pytest.raises(RuntimeError):
             crn.try_coordinate(0, 1.0)
 
+    def test_rejects_resources_outside_the_vector(self):
+        # -1 used to alias resource F_u - 1 under a cache entry of its own,
+        # which a commit on F_u - 1 left stale
+        crn = CommonRandomOutage(1.0, 12, 1.0, draws=5_000, seed=7)
+        crn.attach(3.0, 0.05)
+        for f in (-1, 12):
+            with pytest.raises(ValueError, match="outside 0..11"):
+                crn.try_coordinate(f, 2.0)
+            with pytest.raises(ValueError, match="outside 0..11"):
+                crn.commit(f, 6.0)
+        crn.commit(11, 6.0)
+        moved = np.full(12, 3.0)
+        moved[11] = 2.0
+        assert crn.try_coordinate(11, 2.0).p_hat == crn.estimate(moved, 0.05).p_hat
 
-class SliceLog:
-    """Spy on ``crn``'s pivotal slices: the length each try runs on, and
-    why each slice was built or reused."""
+
+class NearLog:
+    """Spy on ``crn``'s near set: the draws each band try runs on, and how
+    often the near set was built afresh or rebuilt wider."""
 
     def __init__(self, crn):
         self.lengths = []
-        self.builds = self.drift_builds = self.reused_across_commits = 0
-        commits, built_at = [0], {}
-        lookup, commit = crn._slice, crn.commit
+        self.builds = self.widenings = 0
+        columns = crn._near_columns
 
-        def spy_lookup(f):
-            before = crn._slices.get(f)
-            columns = lookup(f)
-            self.lengths.append(len(columns[0]))
-            if crn._slices[f] is not before:
-                self.builds += 1
-                # a commit on f drops f's slice, so a slice still there had drifted out
-                self.drift_builds += before is not None
-                built_at[f] = commits[0]
-            elif built_at[f] < commits[0]:
-                self.reused_across_commits += 1
-            return columns
+        def spy(f, width):
+            before = crn._near
+            out = columns(f, width)
+            self.lengths.append(len(out[0]))
+            if crn._near is not before:
+                self.builds += before is None
+                self.widenings += before is not None
+            return out
 
-        def spy_commit(f, value):
-            commits[0] += 1
-            commit(f, value)
-
-        crn._slice, crn.commit = spy_lookup, spy_commit
+        crn._near_columns = spy
 
 
 class TestCachedColumnsAreBitExact:
@@ -240,7 +247,7 @@ class TestCachedColumnsAreBitExact:
     @pytest.mark.parametrize("f_count", [1, 3, 12])
     @pytest.mark.parametrize("interfered", [False, True])
     def test_selective_call_sequence_matches_oracle(self, f_count, interfered):
-        # the 12-resource slices are selective and outlive or outgrow commits
+        # the near sets are selective and widen for the deeper tries
         self.check_call_sequence(f_count, interfered, scale=300.0)
 
     @staticmethod
@@ -248,7 +255,7 @@ class TestCachedColumnsAreBitExact:
         rng = np.random.default_rng(100 + f_count + 7 * interfered)
         args = (snr_db_to_gain(20.0), f_count, 1.0, 4_000, 31)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
-        log = SliceLog(new)
+        log = NearLog(new)
         p_e = rng.uniform(0.0, 0.5, f_count) if interfered else np.zeros(f_count)
         p_u = scale * rng.uniform(0.02, 0.2, f_count)
         current = p_u.copy()
@@ -307,20 +314,22 @@ class TestCachedColumnsAreBitExact:
         sweep(0.0)
         commit(0, scale * 0.1)
 
-        if f_count == 1 or scale == 1.0:
-            # every draw can be in outage: the tries run on the full columns
+        if scale == 1.0:
+            # every draw is in outage: the near set holds every draw
             assert set(log.lengths) == {4_000}
-        elif f_count == 12:
+        else:
             assert min(log.lengths) <= 4_000 // 4
-            assert log.drift_builds >= 1 and log.reused_across_commits >= 1
+        # the near set is rebuilt after commits and widened for deeper tries
+        assert log.builds >= 1 and log.widenings >= 1
 
     def test_ties_at_the_target_are_pivotal(self):
-        # with r_u = 0 the target is 0; a lone powered resource has
-        # fl(total - rate) == 0 on every draw, so lowering it to 0 is an
-        # outage everywhere, while no other resource has a pivotal draw
+        # with r_u = 0 the target is 0; a lone powered resource carries
+        # every total, so lowering it to 0 (a full-column try) is an outage
+        # everywhere, while a raise from 0 needs only the draws within the
+        # margin of the target, and there are none
         args = (snr_db_to_gain(40.0), 12, 0.0, 4_000, 32)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
-        slice_lengths = SliceLog(new).lengths
+        near_lengths = NearLog(new).lengths
         p_u, p_e = np.zeros(12), np.zeros(12)
         p_u[5] = 1.0
         assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat == 0.0
@@ -328,7 +337,8 @@ class TestCachedColumnsAreBitExact:
             for value in (0.0, 0.5, 1.0, 2.0):
                 assert new.try_coordinate(f, value).p_hat == old.try_coordinate(f, value).p_hat
         assert new.try_coordinate(5, 0.0).p_hat == 1.0
-        assert sorted(set(slice_lengths)) == [0, 4_000]
+        # every try but the two to 0 on resource 5 ran on the near set
+        assert len(near_lengths) == 12 * 4 - 1 and near_lengths[4:8] == [0] * 4
 
     def test_descent_on_a_c8_drop_matches_oracle(self):
         grid = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)
@@ -350,19 +360,19 @@ class TestCachedColumnsAreBitExact:
         start = np.maximum(level, floor)
         options = BcdOptions(draws=draws)
         crn = CommonRandomOutage(gamma_u, grid.F, r_u, draws, 5)
-        log = SliceLog(crn)
+        log = NearLog(crn)
         new_p, new_sweeps = descend_urllc_power(start, floor, p_e, crn, eps, options)
         old_p, old_sweeps = descend_urllc_power(start, floor, p_e, oracle, eps, options)
         assert np.array_equal(new_p, old_p)
         assert new_sweeps == old_sweeps
         # the descent both rejects moves and leaves entries above the floor
         assert new_sweeps > 10 and np.any(new_p > floor)
-        # and the screen gathers selective slices, not only full columns
-        assert min(log.lengths) <= draws // 4
-        # slices outlive other coordinates' commits
-        assert log.builds <= len(log.lengths) // 3 and log.reused_across_commits >= 1
-        # the descent's falls stay inside the slack; a run of deep cuts on
-        # one coordinate, from well above the start, outgrows the others' slices
+        # and the tries run on near sets of a few percent of the draws
+        assert len(log.lengths) > 100 and max(log.lengths) <= draws // 20
+        # a run of deep cuts on one coordinate, from well above the start, with
+        # tries of the others at half power and at the floor: each commit drops
+        # the near set and the deeper tries rebuild it wider
+        builds, widenings = log.builds, log.widenings
         high = 4.0 * start
         assert crn.attach(high, p_e).p_hat == oracle.attach(high, p_e).p_hat
         for value in high[0] * 0.7 ** np.arange(1, 9):
@@ -373,40 +383,71 @@ class TestCachedColumnsAreBitExact:
                     new, old = crn.try_coordinate(f, trial), oracle.try_coordinate(f, trial)
                     assert new.p_hat == old.p_hat
         assert np.array_equal(crn._total, oracle._total)
-        assert log.drift_builds >= 1 and min(log.lengths) <= draws // 4
+        assert log.builds == builds + 8 and log.widenings >= widenings + 8
 
-    def test_drift_allows_for_the_rounding_of_the_totals(self):
-        # Four equal draws of unit gain.  Resource 0 carries about 40 nats,
-        # so every total sits on the grid of q = ulp(40), far coarser than
-        # the target's.  Resource 1 puts fl(total - rate_0) one grid step
-        # above resource 0's slice reach, so that slice is empty.  A commit
-        # then lowers resource 1 by less than the reuse margin, yet
-        # total += delta rounds down onto the target: only the rounding
-        # allowance in the drift makes resource 0's slice be rebuilt.
-        p_0, q = math.expm1(40.0), math.ulp(40.0)
-        for k in range(4_000):
-            args = (1.0, 2, 0.5 + k * 2.0**-44, 4, 33)
-            new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
-            new._gamma[:], old.gamma[:] = 1.0, 1.0
-            t, reach, margin = new.target_nats, new._reach, new._margin
-            p_u = [p_0, math.expm1((math.floor(reach / q) + 1) * q)]
-            old.attach(p_u, [0.0, 0.0])
-            rest = old._total[0] - old._rate(1.0, p_0, 0.0)
-            # the fall that leaves rest a quarter step above a grid point at or below t
-            value = math.expm1(math.log1p(p_u[1]) - (rest - (math.floor(t / q) + 0.25) * q))
-            fall = -old._delta(1, value)[0]
-            if rest > reach and fall + q / 8.0 < margin:
-                old.commit(1, value)
-                if old.try_coordinate(0, 0.0).p_hat == 1.0:
-                    break
-        else:
-            pytest.fail("no rounding knife-edge found")
-        log = SliceLog(new)
-        assert new.attach(p_u, [0.0, 0.0]).p_hat == 0.0
-        assert new.try_coordinate(0, 0.0).p_hat == 0.0 and log.lengths == [0]
-        new.commit(1, value)
-        assert np.array_equal(new._total, old._total)
-        assert new.try_coordinate(0, 0.0).p_hat == 1.0 and log.drift_builds == 1
+    def test_band_margin_covers_the_rounding_of_a_fall(self):
+        # One resource, so each total is its rate; near 42 nats the totals
+        # sit on a grid of ulp(42) ~ 7e-15, far coarser than the rounding of
+        # ln 3.  A try from p = 3 to v = 1 lowers a total by the rounded
+        # fall fl(log1p(3 g)) - fl(log1p(g)), which may exceed fl(ln 3) by a
+        # grid step although the exact fall is below ln 3.  Among the gains
+        # whose try lands at or below the target, pick one whose total lies
+        # above fl(t + ln 3): only the band's margin keeps it in the near set.
+        p, v, args = 3.0, 1.0, (1.0, 1, 60.0, 4, 34)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        log, t = NearLog(new), new.target_nats
+        gains = math.expm1(t) / v * (1.0 + np.arange(-300, 300) * 2.0**-52)
+        edge = (np.log1p(gains * v) <= t) & (np.log1p(gains * p) > t + math.log(p / v))
+        assert edge.any(), "no rounding knife-edge found"
+        new._gamma[:], old.gamma[:] = gains[edge][0], gains[edge][0]
+        assert new.attach([p], [0.0]).p_hat == old.attach([p], [0.0]).p_hat == 0.0
+        assert new.try_coordinate(0, v).p_hat == old.try_coordinate(0, v).p_hat == 1.0
+        assert log.lengths == [4]
+
+    def test_a_draw_just_above_the_band_is_left_out(self):
+        # Two draws on one resource, with totals on either side of the near
+        # set's edge fl(t + W), W = ln(p/v) (1 + 1e-6) + 1e-6: the try runs on
+        # the first draw only, and the second is out of reach of the outage.
+        p, v, args = 2.0, 1.0, (1.0, 1, 30.0, 2, 35)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        edge = new.target_nats + (math.log(p / v) * (1.0 + 1e-6) + 1e-6)
+        gains = math.expm1(edge) / p * (1.0 + np.arange(-64, 64) * 2.0**-52)
+        totals = np.log1p(gains * p)
+        pair = [gains[totals <= edge][-1], gains[totals > edge][0]]
+        assert np.log1p(pair[1] * p) == math.nextafter(edge, math.inf)
+        new._gamma[0], old.gamma[:, 0] = pair, pair
+        assert new.attach([p], [0.0]).p_hat == old.attach([p], [0.0]).p_hat == 0.0
+        log = NearLog(new)
+        assert new.try_coordinate(0, v).p_hat == old.try_coordinate(0, v).p_hat == 0.0
+        assert log.lengths == [1]
+        # a deeper try widens the near set to both draws
+        assert new.try_coordinate(0, 0.999 * v).p_hat == old.try_coordinate(0, 0.999 * v).p_hat
+        assert log.lengths == [1, 2] and log.widenings == 1
+
+
+class TestBandPremise:
+    """The near set rests on ``log1p``: a move from ``p`` to ``v`` changes a
+    computed rate by at most ``|ln(v/p)|`` plus far less than 1e-6 nats.  A
+    numpy or libm change that broke this would fail here rather than shift
+    outage counts."""
+
+    def test_numpy_log1p_agrees_with_math_log1p(self):
+        x = 10.0 ** np.random.default_rng(51).uniform(-12.0, 6.0, 10**6)
+        exact = np.array([math.log1p(value) for value in x.tolist()])
+        assert np.all(np.abs(np.log1p(x) - exact) <= 1e-12 * exact)
+
+    def test_a_move_changes_a_rate_by_at_most_its_log_ratio(self):
+        rng = np.random.default_rng(52)
+        n = 10**6
+        g = 10.0 ** rng.uniform(-6.0, 9.0, n)
+        p = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        v = p * 10.0 ** rng.uniform(-9.0, 1.0, n)
+        p_e = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, n))
+        rate_p, rate_v = (_sinr_rate_nats(g, power, p_e, np.empty(n)) for power in (p, v))
+        change = rate_v - rate_p
+        assert np.all(np.abs(change) <= np.abs(np.log(v / p)) + 1e-6)
+        # a raise lowers no rate beyond rounding
+        assert np.all(change[v >= p] >= -1e-6)
 
 
 class TestDistributionalProperties:

@@ -35,14 +35,16 @@ def test_coordinate_try_equals_full_recompute(data):
 #: it, keep it, or raise it
 FACTORS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 2.0))
 #: one call of a session: attach afresh, try, commit, or a run of commits
-#: that scale one coordinate down (the drift outgrows the slack) or up, with
-#: a try of every coordinate after each
+#: that scale one coordinate down or up, with tries of every coordinate
+#: after each: to 0 (the full columns), below its power and above it (the
+#: near set)
 CALLS = st.one_of(
     st.tuples(st.just("attach")),
     st.tuples(st.just("try"), st.integers(0, 11), FACTORS),
     st.tuples(st.just("commit"), st.integers(0, 11), FACTORS),
     st.tuples(st.just("run"), st.integers(0, 11), st.integers(1, 12),
-              st.one_of(st.floats(0.7, 1.0), st.floats(1.0, 1.5))),
+              st.one_of(st.floats(0.7, 1.0), st.floats(1.0, 1.5)),
+              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(1.0, 2.0)),
 )
 
 
@@ -75,18 +77,21 @@ def test_call_sequences_match_the_uncached_oracle(data):
         current[f] = value
         assert np.array_equal(new._total, old._total)
 
+    def try_all(below, above):
+        for g in range(f_count):
+            for factor in (0.0, below, above):
+                tried(g, current[g] * factor)
+
     attach()
-    for f in range(f_count):
-        tried(f, 0.0)
+    try_all(0.5, 1.5)
     for call in data.draw(st.lists(CALLS, min_size=1, max_size=30), label="calls"):
         if call[0] == "attach":
             attach()
         elif call[0] == "run":
-            _, f, length, factor = call
+            _, f, length, factor, below, above = call
             for _ in range(length):
                 commit(f % f_count, current[f % f_count] * factor)
-                for g in range(f_count):
-                    tried(g, 0.0)
+                try_all(below, above)
         else:
             verb, f, factor = call
             (tried if verb == "try" else commit)(f % f_count, current[f % f_count] * factor)

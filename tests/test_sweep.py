@@ -5,11 +5,14 @@ import os
 import numpy as np
 import pytest
 
+import slicepower.alloc
 import slicepower.sweep
 from slicepower import (SlicePowerError, TableExhaustedError, build_table, embb_stage,
                         load_config, save_table, scheme_f_u_count)
 from slicepower.channel import drop
 from slicepower.sweep import ensure_table, run_sweep, table_path
+
+from oracles import UncachedCommonRandomOutage
 
 FAST = dict(
     epsilon_u=1e-2,
@@ -119,6 +122,19 @@ class TestRunSweep:
         noma = [r for r in records if r.scheme == "noma" and r.algorithm == "bcd"]
         oma = [r for r in records if r.scheme == "oma-3"]
         assert noma[0].mean_total_dbm < oma[0].mean_total_dbm
+
+    def test_bcd_csvs_match_the_uncached_oracle(self, tmp_path, monkeypatch):
+        # the cached frozen-draw evaluator and the oracle that recomputes
+        # every column write the same bytes, on any platform
+        cfg = fast_config(tmp_path, schemes=("noma",), algorithms=("bcd",), d_u=(100.0,),
+                          drops=2, table_trials=3000, crn_draws=3000, evidence_trials=3000)
+        run_sweep(cfg, out_dir=str(tmp_path / "cached"))
+        monkeypatch.setattr(slicepower.alloc, "CommonRandomOutage", UncachedCommonRandomOutage)
+        run_sweep(cfg, out_dir=str(tmp_path / "oracle"))
+        names = sorted(os.listdir(tmp_path / "cached"))
+        assert names == sorted(os.listdir(tmp_path / "oracle")) and "records.csv" in names
+        for name in names:
+            assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
 
 
 class TestInterferencePreflight:
