@@ -31,9 +31,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-#: rows drawn per chunk; fixed so results never depend on memory pressure
-_CHUNK = 1 << 19
-#: draws per block when copying between draw-major and resource-major order
+#: draws per block of fading gains; it bounds the working memory of the kernels
 _ROWS = 1 << 12
 #: margin of the near set: its width grows with a try's largest fall by
 #: this share and this many nats, far above the rounding of any rate or total
@@ -109,7 +107,7 @@ def _power_vectors(p_u, p_e, f_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Float copies of both power vectors over ``f_count`` resources."""
     p_u = np.array(np.broadcast_to(np.asarray(p_u, dtype=float), (f_count,)))
     p_e = np.array(np.broadcast_to(np.asarray(p_e, dtype=float), (f_count,)))
-    if np.any(p_u < 0.0) or np.any(p_e < 0.0):
+    if not (np.all(p_u >= 0.0) and np.all(p_e >= 0.0)):
         raise ValueError("powers must be non-negative")
     return p_u, p_e
 
@@ -123,6 +121,17 @@ def _target_nats(gamma_u_mean: float, samples: int, f_count: int, r_u: float) ->
     if f_count < 1 or not 0.0 <= r_u < math.inf:
         raise ValueError(f"need F_u >= 1 and a finite rate r_u >= 0, got {f_count}, {r_u}")
     return f_count * r_u * _LN2
+
+
+def _fading_blocks(seed: int, label: str, draws: int, f_count: int, gamma_u_mean: float):
+    """``(rows, block)`` pairs of one ``(draws, F_u)`` exponential draw of mean
+    ``gamma_u_mean`` from stream ``label``, in one reused C-ordered buffer."""
+    gen = rngmod.substream(seed, label)
+    buffer = np.empty((_ROWS, f_count))
+    for start in range(0, draws, _ROWS):
+        block = gen.standard_exponential(out=buffer[:draws - start])
+        block *= gamma_u_mean
+        yield slice(start, start + len(block)), block
 
 
 def _outages(total_nats: np.ndarray, target_nats: float) -> int:
@@ -171,13 +180,10 @@ def estimate_outage(
     if _sure_outage_bound_nats(p_u, p_e) <= target_nats:
         return OutageEstimate(1.0, trials, 0.0)
 
-    gen = rngmod.substream(seed, "outage")
-    outages = 0
-    for start in range(0, trials, _CHUNK):
-        gamma = gen.standard_exponential((min(_CHUNK, trials - start), f_count))
-        gamma *= gamma_u_mean
-        rate = _sinr_rate_nats(gamma, p_u, p_e, den=gamma)
-        outages += _outages(rate.sum(axis=1), target_nats)
+    rate, outages = np.empty((_ROWS, f_count)), 0
+    for _, gamma in _fading_blocks(seed, "outage", trials, f_count, gamma_u_mean):
+        block = _sinr_rate_nats(gamma, p_u, p_e, den=gamma, out=rate[:len(gamma)])
+        outages += _outages(block.sum(axis=1), target_nats)
     return OutageEstimate.from_counts(outages, trials)
 
 
@@ -217,7 +223,7 @@ class CommonRandomOutage:
     tried resource's draws, denominators ``1 + g Pe`` and rates in it, is
     built on the first try after :meth:`attach` or :meth:`commit` and
     rebuilt wider when a try needs a larger ``W``.  A try to ``v = 0``
-    (an unbounded fall) runs on the full columns.
+    counts ``fl(total - rate_f)`` over every draw.
 
     An attached estimator holds 2 x draws x F_u float64 (the draws and
     rates), the totals, two draws-long buffers and four values per near
@@ -227,13 +233,9 @@ class CommonRandomOutage:
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
         self.target_nats = _target_nats(gamma_u_mean, draws, f_count, r_u)
-        gen = rngmod.substream(seed, "crn")
-        # drawn in the order of one (draws, F_u) block, stored resource-major
         self._gamma = np.empty((f_count, draws))
-        for start in range(0, draws, _ROWS):
-            block = gen.standard_exponential((min(_ROWS, draws - start), f_count))
-            block *= gamma_u_mean
-            self._gamma[:, start:start + len(block)] = block.T
+        for rows, block in _fading_blocks(seed, "crn", draws, f_count, gamma_u_mean):
+            self._gamma[:, rows] = block.T
         self.draws, self.f_count = draws, f_count
         self._total = None  # set, with the cached columns, by attach()
 
@@ -242,15 +244,15 @@ class CommonRandomOutage:
 
     def _columns(self, p_u: np.ndarray, p_e: np.ndarray):
         """Rate columns at checked vectors, and the per-draw totals."""
-        rate = np.empty_like(self._gamma)
-        den = np.empty(self.draws)
-        for f, g in enumerate(self._gamma):
-            _sinr_rate_nats(g, p_u[f], p_e[f], den, out=rate[f])
-        # summed draw-major, as the pairwise row sums of (rows, F_u) blocks
-        total = np.empty(self.draws)
-        for start in range(0, self.draws, _ROWS):
-            stop = start + _ROWS
-            np.ascontiguousarray(rate[:, start:stop].T).sum(axis=1, out=total[start:stop])
+        rate, total = np.empty_like(self._gamma), np.empty(self.draws)
+        gamma, block = np.empty((2, _ROWS, self.f_count))
+        for start in range(0, self.draws, _ROWS):  # draw-major, as in estimate_outage
+            rows = slice(start, start + _ROWS)
+            g = gamma[:self.draws - start]
+            g[:] = self._gamma[:, rows].T
+            b = _sinr_rate_nats(g, p_u, p_e, den=g, out=block[:len(g)])
+            b.sum(axis=1, out=total[rows])
+            rate[:, rows] = b.T
         return rate, total
 
     def estimate(self, p_u, p_e) -> OutageEstimate:
@@ -286,20 +288,17 @@ class CommonRandomOutage:
             raise RuntimeError("attach() a working vector first")
         if not 0 <= f < self.f_count:
             raise ValueError(f"resource {f} is outside 0..{self.f_count - 1}")
-        if value < 0.0:
+        if not value >= 0.0:
             raise ValueError("powers must be non-negative")
 
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
         self._check(f, value)
+        if value == 0.0:  # the rate at 0 is exactly 0
+            return self._estimate(np.subtract(self._total, self._rate[f], out=self._col))
         p_f = self._p_u[f]
-        fall = 0.0 if value >= p_f else math.log(p_f / value) if value > 0.0 else math.inf
-        if fall < math.inf:
-            g, den, rate, total = self._near_columns(f, fall * (1.0 + _BAND) + _BAND)
-        else:
-            g, rate, total = self._gamma[f], self._rate[f], self._total
-            den = np.multiply(g, self._p_e[f], out=self._den)
-            den += 1.0
+        fall = math.log(p_f) - math.log(value) if value < p_f else 0.0
+        g, den, rate, total = self._near_columns(f, fall * (1.0 + _BAND) + _BAND)
         col = np.multiply(g, value, out=self._col[:len(g)])
         col /= den
         np.log1p(col, out=col)

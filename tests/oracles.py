@@ -5,6 +5,9 @@ enumerates power grids for all but the last channel and solves the last
 one analytically from the residual rate, so any feasible vector cheaper
 than the closed form would be found.
 
+The one-shot outage oracle draws all fading gains as one array and sums
+each draw's rates in one call, with no blocks and no sure-outage shortcut.
+
 The frozen-draw outage oracle keeps no cache at all: every try or commit
 recomputes the whole rate column at both powers.
 """
@@ -63,6 +66,28 @@ def check_against_oracle(gains, target_bits: float, closed_powers) -> tuple:
     return closed_total, oracle_total, step
 
 
+def rate_nats(gamma, p_u, p_e):
+    """Per-draw, per-resource rate ``ln(1 + g Pu / (1 + g Pe))``."""
+    num = gamma * p_u
+    den = 1.0 + gamma * p_e
+    return np.log1p(num / den)
+
+
+def one_shot_totals(p_u, p_e, gamma_u_mean, trials, seed):
+    """Oracle: each draw's summed rate, from one ``(trials, F_u)`` draw of
+    the ``"outage"`` stream."""
+    p_u, p_e = np.asarray(p_u, float), np.asarray(p_e, float)
+    gamma = gamma_u_mean * substream(seed, "outage").standard_exponential((trials, p_u.size))
+    return rate_nats(gamma, p_u, p_e).sum(axis=1)
+
+
+def one_shot_outage(p_u, p_e, gamma_u_mean, r_u, trials, seed):
+    """Oracle: ``estimate_outage`` without blocks or the sure-outage shortcut."""
+    total = one_shot_totals(p_u, p_e, gamma_u_mean, trials, seed)
+    outages = int((total <= np.size(p_u) * r_u * math.log(2.0)).sum())
+    return OutageEstimate.from_counts(outages, trials)
+
+
 class UncachedCommonRandomOutage:
     """Oracle: the frozen-draw estimator before its columns were cached.
 
@@ -76,29 +101,23 @@ class UncachedCommonRandomOutage:
         self.draws = draws
         self.f_count = f_count
 
-    @staticmethod
-    def _rate(gamma, p_u, p_e):
-        num = gamma * p_u
-        den = 1.0 + gamma * p_e
-        return np.log1p(num / den)
-
     def _estimate(self, total):
         return OutageEstimate.from_counts(int((total <= self.target_nats).sum()), self.draws)
 
     def estimate(self, p_u, p_e):
         p_u = np.broadcast_to(np.asarray(p_u, float), (self.f_count,))
         p_e = np.broadcast_to(np.asarray(p_e, float), (self.f_count,))
-        return self._estimate(self._rate(self.gamma, p_u, p_e).sum(axis=1))
+        return self._estimate(rate_nats(self.gamma, p_u, p_e).sum(axis=1))
 
     def attach(self, p_u, p_e):
         self._p_u = np.array(np.broadcast_to(np.asarray(p_u, float), (self.f_count,)))
         self._p_e = np.array(np.broadcast_to(np.asarray(p_e, float), (self.f_count,)))
-        self._total = self._rate(self.gamma, self._p_u, self._p_e).sum(axis=1)
+        self._total = rate_nats(self.gamma, self._p_u, self._p_e).sum(axis=1)
         return self._estimate(self._total)
 
     def _delta(self, f, value):
         g, p_e_f = self.gamma[:, f], self._p_e[f]
-        return self._rate(g, value, p_e_f) - self._rate(g, self._p_u[f], p_e_f)
+        return rate_nats(g, value, p_e_f) - rate_nats(g, self._p_u[f], p_e_f)
 
     def try_coordinate(self, f, value):
         return self._estimate(self._total + self._delta(f, value))

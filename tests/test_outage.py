@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,11 +20,15 @@ from slicepower import (
 from slicepower.alloc import BcdOptions, descend_urllc_power
 from slicepower.channel import drop
 from slicepower.grid import spectral_efficiency
+from slicepower import outage
 from slicepower.outage import _sinr_rate_nats
 from slicepower.units import snr_db_to_gain
 from slicepower.waterfill import embb_power, sic_power
 
-from oracles import UncachedCommonRandomOutage
+from oracles import UncachedCommonRandomOutage, one_shot_outage, one_shot_totals
+
+#: draws spanning three full blocks of the blocked kernels and a partial fourth
+BLOCKS_DRAWS = 3 * 4096 + 5
 
 
 class TestMutualInformation:
@@ -107,6 +112,47 @@ class TestEstimateOutage:
                 estimate_outage([1.0], [0.0], gamma, 1.0, 10, seed=1)
         # a zero rate is a legal, always-met target
         assert estimate_outage([1.0], [0.0], 1.0, 0.0, 10, seed=1).p_hat == 0.0
+
+    def test_rejects_nan_powers(self):
+        # NaN totals are never at or below the target, so NaN read as outage 0
+        for p_u, p_e in (([math.nan, 1.0, 1.0], [0.0] * 3), ([1.0] * 3, [0.0, math.nan, 0.0])):
+            with pytest.raises(ValueError, match="non-negative"):
+                estimate_outage(p_u, p_e, 1.0, 1.0, 2000, seed=1)
+
+
+class TestBlockedKernelMatchesOneShot:
+    """``estimate_outage`` draws and sums in blocks of 4096 draws; its
+    per-draw totals and estimate equal those of one unblocked draw."""
+
+    #: (Pu, Pe) per resource, cycled: no interference, interfered, no power,
+    #: and a resource whose rate is capped far below the target
+    RESOURCES = [(2.0, 0.0), (2.0, 0.5), (0.0, 0.5), (0.01, 1.0)]
+
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 99_991])
+    @pytest.mark.parametrize("f_count", [1, 3, 12])
+    def test_totals_and_estimate_match(self, monkeypatch, trials, f_count):
+        p_u, p_e = np.array([self.RESOURCES[f % 4] for f in range(f_count)]).T
+        totals, count = [], outage._outages
+
+        def spy(total_nats, target_nats):
+            totals.append(total_nats.copy())
+            return count(total_nats, target_nats)
+
+        monkeypatch.setattr(outage, "_outages", spy)
+        est = estimate_outage(p_u, p_e, 4.0, 1.0, trials, seed=7)
+        assert est == one_shot_outage(p_u, p_e, 4.0, 1.0, trials, 7)
+        assert np.array_equal(np.concatenate(totals), one_shot_totals(p_u, p_e, 4.0, trials, 7))
+        if trials == 99_991:
+            assert 0.1 < est.p_hat < 0.4
+
+    @pytest.mark.parametrize("trials", [1, 4097])
+    @pytest.mark.parametrize("f_count", [1, 3, 12])
+    def test_sure_outage_matches(self, trials, f_count):
+        # every resource capped, or unpowered: no draw can reach the target
+        for p_u, p_e in ((np.full(f_count, 0.01), np.ones(f_count)), (np.zeros(f_count), np.zeros(f_count))):
+            est = estimate_outage(p_u, p_e, 4.0, 1.0, trials, seed=7)
+            assert est == one_shot_outage(p_u, p_e, 4.0, 1.0, trials, 7)
+            assert est.p_hat == 1.0
 
 
 class TestSingleFrequencyPower:
@@ -193,6 +239,30 @@ class TestCommonRandomOutage:
         with pytest.raises(ValueError):
             crn.commit(0, -5.0)
 
+    def test_rejects_nan_powers(self):
+        crn = CommonRandomOutage(1.0, 3, 1.0, draws=2000, seed=1)
+        for p_u, p_e in (([math.nan, 1.0, 1.0], 0.0), (1.0, [0.0, math.nan, 0.0])):
+            with pytest.raises(ValueError, match="non-negative"):
+                crn.estimate(p_u, p_e)
+            with pytest.raises(ValueError, match="non-negative"):
+                crn.attach(p_u, p_e)
+        crn.attach(1.0, 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            crn.try_coordinate(0, math.nan)
+        with pytest.raises(ValueError, match="non-negative"):
+            crn.commit(0, math.nan)
+
+    def test_a_subnormal_try_does_not_overflow(self):
+        # the fall ln(p/v) is finite for the smallest positive v
+        args = (snr_db_to_gain(20.0), 3, 1.0, 5_000, 13)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        new.attach([0.5, 0.2, 0.1], 0.0)
+        old.attach([0.5, 0.2, 0.1], 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in range(3):
+                assert new.try_coordinate(f, 5e-324).p_hat == old.try_coordinate(f, 5e-324).p_hat
+
     def test_requires_attach_before_updates(self):
         crn = CommonRandomOutage(1.0, 2, 1.0, draws=100, seed=1)
         with pytest.raises(RuntimeError):
@@ -253,7 +323,7 @@ class TestCachedColumnsAreBitExact:
     @staticmethod
     def check_call_sequence(f_count, interfered, scale):
         rng = np.random.default_rng(100 + f_count + 7 * interfered)
-        args = (snr_db_to_gain(20.0), f_count, 1.0, 4_000, 31)
+        args = (snr_db_to_gain(20.0), f_count, 1.0, BLOCKS_DRAWS, 31)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
         log = NearLog(new)
         p_e = rng.uniform(0.0, 0.5, f_count) if interfered else np.zeros(f_count)
@@ -316,17 +386,17 @@ class TestCachedColumnsAreBitExact:
 
         if scale == 1.0:
             # every draw is in outage: the near set holds every draw
-            assert set(log.lengths) == {4_000}
+            assert set(log.lengths) == {BLOCKS_DRAWS}
         else:
-            assert min(log.lengths) <= 4_000 // 4
+            assert min(log.lengths) <= BLOCKS_DRAWS // 4
         # the near set is rebuilt after commits and widened for deeper tries
         assert log.builds >= 1 and log.widenings >= 1
 
     def test_ties_at_the_target_are_pivotal(self):
         # with r_u = 0 the target is 0; a lone powered resource carries
-        # every total, so lowering it to 0 (a full-column try) is an outage
-        # everywhere, while a raise from 0 needs only the draws within the
-        # margin of the target, and there are none
+        # every total, so lowering it to 0 (a try over every draw) is an
+        # outage everywhere, while a raise from 0 needs only the draws within
+        # the margin of the target, and there are none
         args = (snr_db_to_gain(40.0), 12, 0.0, 4_000, 32)
         new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
         near_lengths = NearLog(new).lengths
@@ -337,8 +407,8 @@ class TestCachedColumnsAreBitExact:
             for value in (0.0, 0.5, 1.0, 2.0):
                 assert new.try_coordinate(f, value).p_hat == old.try_coordinate(f, value).p_hat
         assert new.try_coordinate(5, 0.0).p_hat == 1.0
-        # every try but the two to 0 on resource 5 ran on the near set
-        assert len(near_lengths) == 12 * 4 - 1 and near_lengths[4:8] == [0] * 4
+        # every try but those to 0 ran on the near set
+        assert len(near_lengths) == 12 * 3 and near_lengths[3:6] == [0] * 3
 
     def test_descent_on_a_c8_drop_matches_oracle(self):
         grid = ResourceGrid(F=12, M=7, delta_f=180e3, T=1e-3)

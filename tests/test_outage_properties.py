@@ -11,6 +11,8 @@ from slicepower.units import snr_db_to_gain  # noqa: E402
 
 from oracles import UncachedCommonRandomOutage  # noqa: E402
 
+#: draws spanning three full blocks of the blocked kernels and a partial fourth
+DRAWS = 3 * 4096 + 5
 #: powers [mW]: exact zeros, and SNRs from far below to far above the target
 POWERS = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 
@@ -24,7 +26,7 @@ def test_coordinate_try_equals_full_recompute(data):
     p_e = np.array(data.draw(vector, label="p_e"))
     f = data.draw(st.integers(0, f_count - 1), label="f")
     value = data.draw(POWERS, label="value")
-    crn = CommonRandomOutage(snr_db_to_gain(30.0), f_count, 1.0, draws=2_000, seed=41)
+    crn = CommonRandomOutage(snr_db_to_gain(30.0), f_count, 1.0, draws=DRAWS, seed=41)
     crn.attach(p_u, p_e)
     moved = p_u.copy()
     moved[f] = value
@@ -36,8 +38,8 @@ def test_coordinate_try_equals_full_recompute(data):
 FACTORS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0), st.floats(1.0, 2.0))
 #: one call of a session: attach afresh, try, commit, or a run of commits
 #: that scale one coordinate down or up, with tries of every coordinate
-#: after each: to 0 (the full columns), below its power and above it (the
-#: near set)
+#: after each: to 0 (every draw), below its power and above it (the near
+#: set)
 CALLS = st.one_of(
     st.tuples(st.just("attach")),
     st.tuples(st.just("try"), st.integers(0, 11), FACTORS),
@@ -53,7 +55,7 @@ CALLS = st.one_of(
 def test_call_sequences_match_the_uncached_oracle(data):
     f_count = data.draw(st.integers(1, 12), label="f_count")
     interfered = data.draw(st.booleans(), label="interfered")
-    args = (snr_db_to_gain(20.0), f_count, 1.0, 2_000, 43)
+    args = (snr_db_to_gain(20.0), f_count, 1.0, DRAWS, 43)
     new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
     # powers of 3 mW to 1 W: mean SNRs of -5 to 20 dB per resource
     levels = st.lists(st.floats(0.5, 3.0), min_size=f_count, max_size=f_count)
