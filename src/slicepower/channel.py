@@ -51,8 +51,8 @@ def drop(seed: int, index: int, gamma_e_mean: float, f_count: int) -> np.ndarray
     Rayleigh-fading draws, exponential with mean ``gamma_e_mean`` per mW.
     The draw depends on ``(seed, index)`` only, so every scheme, algorithm
     and placement of a run shares it."""
-    if gamma_e_mean <= 0.0 or f_count < 1:
-        raise ValueError(f"need mean > 0 and count >= 1, got mean={gamma_e_mean}, "
+    if not 0.0 < gamma_e_mean < math.inf or f_count < 1:
+        raise ValueError(f"need a finite mean > 0 and count >= 1, got mean={gamma_e_mean}, "
                          f"count={f_count}")
     return gamma_e_mean * rngmod.substream(seed, "drop", index).standard_exponential(f_count)
 

@@ -150,12 +150,11 @@ def select_urllc_frequencies(gamma_e: np.ndarray, f_u_count: int) -> tuple:
     gamma_e = np.asarray(gamma_e, dtype=float)
     if gamma_e.ndim != 1:
         raise ValueError("gamma_e must be a vector")
-    if np.any(gamma_e < 0.0):
+    if not (gamma_e >= 0.0).all():
         raise ValueError("SNRs must be non-negative")
     if not 0 <= f_u_count <= gamma_e.size:
         raise ValueError(f"need 0 <= F_u <= {gamma_e.size}, got {f_u_count}")
-    order = np.argsort(gamma_e, kind="stable")
-    return tuple(sorted(int(i) for i in order[:f_u_count]))
+    return tuple(sorted(gamma_e.argsort(kind="stable")[:f_u_count].tolist()))
 
 
 def build_resource_sets(

@@ -139,8 +139,8 @@ def _outages(total_nats: np.ndarray, target_nats: float) -> int:
     return int(np.count_nonzero(total_nats <= target_nats))
 
 
-def _sure_outage_bound_nats(p_u: np.ndarray, p_e: np.ndarray) -> float:
-    """Supremum of the achievable rate over all fading draws, if finite.
+def _sure_outage(p_u: np.ndarray, p_e: np.ndarray, target_nats: float) -> bool:
+    """True when no fading draw can beat the target: any seed then estimates 1.
 
     On interfered resources the rate is strictly below ``log(1+Pu/Pe)``
     for every finite draw; resources with power but no interference have
@@ -151,9 +151,9 @@ def _sure_outage_bound_nats(p_u: np.ndarray, p_e: np.ndarray) -> float:
         if pu_f <= 0.0:
             continue
         if pe_f <= 0.0:
-            return math.inf
+            return False
         bound += math.log1p(pu_f / pe_f)
-    return bound
+    return bound <= target_nats
 
 
 def estimate_outage(
@@ -177,7 +177,7 @@ def estimate_outage(
     target_nats = _target_nats(gamma_u_mean, trials, f_count, r_u)
     p_u, p_e = _power_vectors(p_u, p_e, f_count)
 
-    if _sure_outage_bound_nats(p_u, p_e) <= target_nats:
+    if _sure_outage(p_u, p_e, target_nats):
         return OutageEstimate(1.0, trials, 0.0)
 
     rate, outages = np.empty((_ROWS, f_count)), 0

@@ -9,34 +9,38 @@ matter how the work is chunked or which streams are consumed first.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import struct
 
 import numpy as np
 
 __all__ = ["derive_seed_sequence", "substream"]
 
 
+@functools.lru_cache(maxsize=1024)
+def _str_to_int(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+
+
 def _label_to_int(label) -> int:
+    if isinstance(label, str):
+        return _str_to_int(label)
     if isinstance(label, (int, np.integer)):
         if label < 0:
             raise ValueError(f"stream labels must be non-negative, got {label}")
         return int(label)
     if isinstance(label, float):
-        # stable key for float labels (e.g. dBm grid points incl. -inf)
-        return int.from_bytes(np.float64(label).tobytes(), "little")
-    if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "little")
+        # stable key for float labels (e.g. dBm grid points incl. -inf): the IEEE bits
+        return int.from_bytes(struct.pack("<d", label), "little")
     raise TypeError(f"unsupported stream label type: {type(label)!r}")
 
 
 def derive_seed_sequence(base_seed: int, *labels) -> np.random.SeedSequence:
     """SeedSequence keyed by (base_seed, labels...)."""
-    entropy = (int(base_seed),) + tuple(_label_to_int(x) for x in labels)
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence((int(base_seed), *map(_label_to_int, labels)))
 
 
 def substream(base_seed: int, *labels) -> np.random.Generator:
     """Independent Philox generator for the given label path."""
     return np.random.Generator(np.random.Philox(derive_seed_sequence(base_seed, *labels)))
-

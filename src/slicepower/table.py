@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import TableExhaustedError
-from .outage import estimate_outage
+from .outage import _sure_outage, _target_nats, estimate_outage
 from .units import dbm_to_mw, mw_to_dbm
 
 __all__ = [
@@ -125,12 +125,15 @@ def build_table(
     axis_pe = (
         default_interference_axis_dbm() if axis_pe_dbm is None else np.asarray(axis_pe_dbm, float)
     )
+    target_nats = _target_nats(gamma_u, trials, f_count, r_u)
     values = np.empty((axis_pe.size, axis_pu.size))
     for i, pe_dbm in enumerate(axis_pe):
+        p_e = np.full(f_count, dbm_to_mw(pe_dbm))
         for j, pu_dbm in enumerate(axis_pu):
-            cell = int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
             p_u = np.full(f_count, dbm_to_mw(pu_dbm))
-            values[i, j] = estimate_outage(p_u, dbm_to_mw(pe_dbm), gamma_u, r_u, trials, cell).p_hat
+            sure = _sure_outage(p_u, p_e, target_nats)  # then 1 under any seed
+            cell = 0 if sure else int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
+            values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
     return OutageTable(
         axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
         r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,

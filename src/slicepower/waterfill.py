@@ -24,29 +24,38 @@ def waterfill(gains: np.ndarray, rate_target: float) -> np.ndarray:
     """Minimum-power allocation over parallel channels with the given gains.
 
     Returns the per-channel powers in the input order; excluded channels
-    get exactly 0.  Gains must be strictly positive.
+    get exactly 0.  Gains must be strictly positive and finite.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("gains must be a non-empty vector")
-    if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
+    if not ((g > 0.0) & (g < np.inf)).all():
         raise ValueError("waterfill needs strictly positive finite gains")
-    if rate_target <= 0.0:
-        raise ValueError(f"rate target must be positive, got {rate_target}")
+    if not 0.0 < rate_target < np.inf:
+        raise ValueError(f"rate target must be positive and finite, got {rate_target}")
 
     inv = 1.0 / g
-    order = np.argsort(inv, kind="stable")
+    order = inv.argsort(kind="stable")
     inv_sorted = inv[order]
+    log2_inv = np.log2(inv_sorted)
     # level when the k best channels are active, in log2 domain
-    ks = np.arange(1, g.size + 1, dtype=float)
-    log2_mu = (rate_target + np.cumsum(np.log2(inv_sorted))) / ks
-    active = log2_mu > np.log2(inv_sorted)
-    k = int(np.nonzero(active)[0].max()) + 1  # k=1 is always admissible
+    log2_mu = (rate_target + log2_inv.cumsum()) / np.arange(1.0, g.size + 1.0)
+    k = (log2_mu > log2_inv).nonzero()[0].max() + 1  # k=1 is always admissible
 
-    powers = np.zeros_like(g)
+    powers = np.zeros(g.size)
     powers[order[:k]] = 2.0 ** log2_mu[k - 1] - inv_sorted[:k]
     np.clip(powers, 0.0, None, out=powers)
     return powers
+
+
+def _usable(gamma_e: np.ndarray, which: str) -> np.ndarray:
+    """Mask of the positive gains, which must be non-negative and not all zero."""
+    if not (gamma_e >= 0.0).all():
+        raise ValueError("gains must be non-negative")
+    usable = gamma_e > 0.0
+    if not usable.any():
+        raise RateInfeasibleError(f"every {which} channel has zero gain")
+    return usable
 
 
 def embb_power(gamma_e: np.ndarray, r_e: float) -> np.ndarray:
@@ -56,22 +65,17 @@ def embb_power(gamma_e: np.ndarray, r_e: float) -> np.ndarray:
     any power.
     """
     gamma_e = np.asarray(gamma_e, dtype=float)
-    if gamma_e.size == 0:
-        raise ValueError("no channels offered")
-    usable = gamma_e > 0.0
-    if not usable.any():
-        raise RateInfeasibleError("every offered channel has zero gain")
+    if gamma_e.ndim != 1 or gamma_e.size == 0:
+        raise ValueError("gains must be a non-empty vector of offered channels")
+    if gamma_e.min() > 0.0:
+        return waterfill(gamma_e, r_e * gamma_e.size)
+    usable = _usable(gamma_e, "offered")
     powers = np.zeros_like(gamma_e)
     powers[usable] = waterfill(gamma_e[usable], r_e * gamma_e.size)
     return powers
 
 
-def sic_power(
-    p_e: np.ndarray,
-    gamma_e: np.ndarray,
-    r_u: float,
-    scheme: Scheme,
-) -> np.ndarray:
+def sic_power(p_e: np.ndarray, gamma_e: np.ndarray, r_u: float, scheme: Scheme) -> np.ndarray:
     """Minimum URLLC power that the broadband receiver can still cancel.
 
     The broadband receiver decodes the URLLC stream against its own
@@ -81,17 +85,17 @@ def sic_power(
     """
     p_e = np.asarray(p_e, dtype=float)
     gamma_e = np.asarray(gamma_e, dtype=float)
-    if p_e.shape != gamma_e.shape:
+    if p_e.ndim != 1 or p_e.shape != gamma_e.shape:
         raise ValueError("power and gain vectors must align")
     if Scheme(scheme) is Scheme.OMA:
         return np.zeros_like(p_e)
-    effective = np.zeros_like(gamma_e)
-    usable = gamma_e > 0.0
-    if not usable.any():
-        raise RateInfeasibleError("every shared channel has zero gain")
-    effective[usable] = gamma_e[usable] / (1.0 + gamma_e[usable] * p_e[usable])
-    powers = np.zeros_like(p_e)
-    powers[usable] = waterfill(effective[usable], r_u * p_e.size)
+    if not (p_e >= 0.0).all():
+        raise ValueError("powers must be non-negative")
+    if gamma_e.size and gamma_e.min() > 0.0:
+        return waterfill(gamma_e / (1.0 + gamma_e * p_e), r_u * p_e.size)
+    usable = _usable(gamma_e, "shared")
+    g, powers = gamma_e[usable], np.zeros_like(p_e)
+    powers[usable] = waterfill(g / (1.0 + g * p_e[usable]), r_u * p_e.size)
     return powers
 
 
@@ -103,7 +107,7 @@ def substitute_zero_interference(p_e: np.ndarray) -> np.ndarray:
     least-interfered shared channel, so that channel's power stands in.
     """
     p_e = np.asarray(p_e, dtype=float)
-    if np.any(p_e < 0.0):
+    if not (p_e >= 0.0).all():
         raise ValueError("interference powers must be non-negative")
     positive = p_e > 0.0
     if not positive.any():

@@ -10,13 +10,20 @@ each draw's rates in one call, with no blocks and no sure-outage shortcut.
 
 The frozen-draw outage oracle keeps no cache at all: every try or commit
 recomputes the whole rate column at both powers.
+
+The reference broadband stage (``ref_waterfill``, ``ref_embb_power``,
+``ref_sic_power``, ``ref_select_urllc_frequencies``) and the reference
+stream derivation (``ref_derive_seed_sequence``) are frozen copies of the
+straightforward numpy versions that the per-call rewrite in ``src/`` must
+match bit for bit.
 """
 
+import hashlib
 import math
 
 import numpy as np
 
-from slicepower import OutageEstimate
+from slicepower import OutageEstimate, RateInfeasibleError, Scheme
 from slicepower.rng import substream
 
 
@@ -125,3 +132,88 @@ class UncachedCommonRandomOutage:
     def commit(self, f, value):
         self._total += self._delta(f, value)
         self._p_u[f] = value
+
+
+def ref_waterfill(gains, rate_target):
+    """Reference ``waterfill``."""
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("gains must be a non-empty vector")
+    if np.any(g <= 0.0) or not np.all(np.isfinite(g)):
+        raise ValueError("waterfill needs strictly positive finite gains")
+    if rate_target <= 0.0:
+        raise ValueError(f"rate target must be positive, got {rate_target}")
+    inv = 1.0 / g
+    order = np.argsort(inv, kind="stable")
+    inv_sorted = inv[order]
+    ks = np.arange(1, g.size + 1, dtype=float)
+    log2_mu = (rate_target + np.cumsum(np.log2(inv_sorted))) / ks
+    active = log2_mu > np.log2(inv_sorted)
+    k = int(np.nonzero(active)[0].max()) + 1
+    powers = np.zeros_like(g)
+    powers[order[:k]] = 2.0 ** log2_mu[k - 1] - inv_sorted[:k]
+    np.clip(powers, 0.0, None, out=powers)
+    return powers
+
+
+def ref_embb_power(gamma_e, r_e):
+    """Reference ``embb_power``: water-filling over the positive gains."""
+    gamma_e = np.asarray(gamma_e, dtype=float)
+    if gamma_e.size == 0:
+        raise ValueError("no channels offered")
+    usable = gamma_e > 0.0
+    if not usable.any():
+        raise RateInfeasibleError("every offered channel has zero gain")
+    powers = np.zeros_like(gamma_e)
+    powers[usable] = ref_waterfill(gamma_e[usable], r_e * gamma_e.size)
+    return powers
+
+
+def ref_sic_power(p_e, gamma_e, r_u, scheme):
+    """Reference ``sic_power``: water-filling over the effective gains."""
+    p_e = np.asarray(p_e, dtype=float)
+    gamma_e = np.asarray(gamma_e, dtype=float)
+    if p_e.shape != gamma_e.shape:
+        raise ValueError("power and gain vectors must align")
+    if Scheme(scheme) is Scheme.OMA:
+        return np.zeros_like(p_e)
+    effective = np.zeros_like(gamma_e)
+    usable = gamma_e > 0.0
+    if not usable.any():
+        raise RateInfeasibleError("every shared channel has zero gain")
+    effective[usable] = gamma_e[usable] / (1.0 + gamma_e[usable] * p_e[usable])
+    powers = np.zeros_like(p_e)
+    powers[usable] = ref_waterfill(effective[usable], r_u * p_e.size)
+    return powers
+
+
+def ref_select_urllc_frequencies(gamma_e, f_u_count):
+    """Reference ``select_urllc_frequencies``."""
+    gamma_e = np.asarray(gamma_e, dtype=float)
+    if gamma_e.ndim != 1:
+        raise ValueError("gamma_e must be a vector")
+    if np.any(gamma_e < 0.0):
+        raise ValueError("SNRs must be non-negative")
+    if not 0 <= f_u_count <= gamma_e.size:
+        raise ValueError(f"need 0 <= F_u <= {gamma_e.size}, got {f_u_count}")
+    order = np.argsort(gamma_e, kind="stable")
+    return tuple(sorted(int(i) for i in order[:f_u_count]))
+
+
+def _ref_label_to_int(label):
+    if isinstance(label, (int, np.integer)):
+        if label < 0:
+            raise ValueError(f"stream labels must be non-negative, got {label}")
+        return int(label)
+    if isinstance(label, float):
+        return int.from_bytes(np.float64(label).tobytes(), "little")
+    if isinstance(label, str):
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "little")
+    raise TypeError(f"unsupported stream label type: {type(label)!r}")
+
+
+def ref_derive_seed_sequence(base_seed, *labels):
+    """Reference ``derive_seed_sequence``."""
+    entropy = (int(base_seed),) + tuple(_ref_label_to_int(x) for x in labels)
+    return np.random.SeedSequence(entropy)

@@ -31,7 +31,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import check_against_oracle
+from oracles import (
+    check_against_oracle,
+    ref_embb_power,
+    ref_select_urllc_frequencies,
+    ref_sic_power,
+)
 
 from slicepower import (
     CommonRandomOutage,
@@ -230,6 +235,23 @@ C6_CELLS = [
 
 
 class TestC06BroadbandPowerTable:
+    def test_c06_drops_match_reference_stage_bitwise(self):
+        # every C6 cell's selection, water-filling and floor equal the frozen
+        # reference copies bit for bit, so the table above measures the same numbers
+        traffic = TrafficSpec(N_e=N_E, N_u=N_U, epsilon_u=1e-5, M_u_max=7)
+        for snr_db, scheme_label, _ in C6_CELLS:
+            scheme, f_u_count = scheme_f_u_count(scheme_label, GRID.F)
+            for i in range(200):
+                gamma = drop(606, i, snr_db_to_gain(snr_db), GRID.F)
+                stage = embb_stage(GRID, traffic, gamma, scheme, f_u_count, 1)
+                f_u = ref_select_urllc_frequencies(gamma, f_u_count)
+                assert stage.sets.f_u == f_u
+                fe, fu = list(stage.sets.f_e), list(f_u)
+                p_e = ref_embb_power(gamma[fe], stage.r_e)
+                assert np.array_equal(stage.p_e[fe], p_e)
+                floor = ref_sic_power(stage.p_e[fu], gamma[fu], stage.r_u, scheme)
+                assert np.array_equal(stage.p_u_sic[fu], floor)
+
     @pytest.mark.parametrize("snr_db,scheme,ref_dbm", C6_CELLS)
     def test_c06_mean_embb_power(self, snr_db, scheme, ref_dbm):
         measured = _embb_mean_dbm(snr_db, scheme, drops=4000)

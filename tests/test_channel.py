@@ -50,6 +50,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             drop(1, 0, 1.0, 0)
 
+    @pytest.mark.parametrize("mean", [np.nan, np.inf])
+    def test_rejects_nan_or_infinite_mean(self, mean):
+        with pytest.raises(ValueError, match="finite mean"):
+            drop(1, 0, mean, 12)
+
 
 class TestDrop:
     @pytest.mark.parametrize("seed,index", [(1, 0), (1, 19), (606, 3)])

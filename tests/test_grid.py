@@ -79,6 +79,11 @@ class TestFrequencySelection:
         with pytest.raises(ValueError):
             select_urllc_frequencies(np.array([1.0, 2.0]), 3)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_snr(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            select_urllc_frequencies(np.array([1.0, bad, 2.0]), 1)
+
     def test_minimizes_sum_over_subsets(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -1,4 +1,5 @@
 import errno
+import importlib
 import math
 import os
 from contextlib import nullcontext
@@ -9,6 +10,8 @@ import pytest
 from slicepower import TableExhaustedError, build_table, estimate_outage, load_table, min_feasible_power, save_table
 from slicepower.table import OutageTable, cell_seed, default_interference_axis_dbm, default_power_axis_dbm
 from slicepower.units import dbm_to_mw
+
+table_module = importlib.import_module("slicepower.table")
 
 
 def synthetic_table():
@@ -51,6 +54,27 @@ class TestBuild:
         # the -inf row is sampled; at 0 dBm interference, P_u <= 0 dBm is a sure outage
         assert 0.0 < table.values[0].min() < 1.0
         assert np.all(table.values[1, axis_pu <= 0.0] == 1.0)
+
+    def test_only_sampled_cells_derive_a_sub_seed(self, monkeypatch):
+        # sure outages (no draw can beat F_u*r_u*ln2 while every rate stays below
+        # log1p(P_u/P_e)) read 1 without a sub-seed; the table is unchanged
+        axis_pu, axis_pe = np.arange(-4.5, 5.0), np.array([-math.inf, 0.0, 3.0])
+        seeded = []
+
+        def spy(base_seed, pu_dbm, pe_dbm):
+            seeded.append((float(pu_dbm), float(pe_dbm)))
+            return cell_seed(base_seed, pu_dbm, pe_dbm)
+
+        monkeypatch.setattr(table_module, "cell_seed", spy)
+        table = build_table(1.0, 12, 1.0, trials=2000, seed=42,
+                            axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe)
+        sampled = [(pu, pe) for pe in axis_pe for pu in axis_pu
+                   if pe == -math.inf or math.log1p(dbm_to_mw(pu) / dbm_to_mw(pe)) > math.log(2.0)]
+        assert seeded == sampled and 0 < len(sampled) < axis_pu.size * axis_pe.size
+        for i, j in np.ndindex(table.values.shape):
+            seed = int(cell_seed(42, axis_pu[j], axis_pe[i]).generate_state(1)[0])
+            p_u, p_e = [dbm_to_mw(axis_pu[j])] * 12, [dbm_to_mw(axis_pe[i])] * 12
+            assert table.values[i, j] == estimate_outage(p_u, p_e, 1.0, 1.0, 2000, seed).p_hat
 
     def test_cell_equals_fresh_estimate(self):
         table = build_table(1.0, 12, 1.0, trials=3000, seed=17,

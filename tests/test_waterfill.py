@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from oracles import check_against_oracle
@@ -87,6 +89,16 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             waterfill(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("gain", [np.nan, np.inf])
+    def test_rejects_nan_or_infinite_gain(self, gain):
+        with pytest.raises(ValueError, match="strictly positive finite gains"):
+            waterfill(np.array([1.0, gain]), 1.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_nan_or_infinite_rate(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            waterfill(np.array([1.0, 2.0]), rate)
+
 
 class TestEmbbPower:
     def test_single_channel_reference(self):
@@ -109,6 +121,17 @@ class TestEmbbPower:
     def test_all_zero_gains_infeasible(self):
         with pytest.raises(RateInfeasibleError):
             embb_power(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("gamma", [np.array([]), np.ones((2, 2)), np.array([[0.0, 1.0]])])
+    def test_rejects_empty_or_non_vector_gains(self, gamma):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            embb_power(gamma, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_gain(self, bad):
+        # neither may pass for a zero gain
+        with pytest.raises(ValueError, match="non-negative"):
+            embb_power(np.array([1.0, bad]), 1.0)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e-1, 3.7, 1e2, 1e5])
     def test_scale_invariance(self, scale):
@@ -149,6 +172,20 @@ class TestSicPower:
         closed, oracle, step = check_against_oracle(effective, 2.0, out)
         assert oracle >= closed - step
 
+    def test_rejects_non_vectors(self):
+        with pytest.raises(ValueError, match="must align"):
+            sic_power(np.ones((1, 2)), np.array([[0.0, 1.0]]), 1.0, Scheme.NOMA)
+
+    @pytest.mark.parametrize("p_e", [-0.5, np.nan])
+    def test_rejects_negative_or_nan_power(self, p_e):
+        with pytest.raises(ValueError, match="powers must be non-negative"):
+            sic_power(np.array([1.0, p_e]), np.array([1.0, 2.0]), 1.0, Scheme.NOMA)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_rejects_nan_or_negative_gain(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            sic_power(np.array([1.0, 1.0]), np.array([1.0, bad]), 1.0, Scheme.NOMA)
+
     def test_meets_sic_rate_exactly(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -185,6 +222,29 @@ class TestIlPower:
         out_ref = il_power(np.array([2.0, 2.0]), 1.0)
         assert out_sub == pytest.approx(out_ref)
 
+    def test_rejects_nan_interference(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            il_power(np.array([2.0, np.nan]), 1.0)
+
     def test_all_zero_interference_is_undefined(self):
         with pytest.raises(ZeroInterferenceError):
             il_power(np.zeros(4), 1.0)
+
+
+class TestWaterfillLookup:
+    @pytest.mark.parametrize("zero_gain", [False, True])
+    def test_stage_functions_call_waterfill_through_the_module(self, monkeypatch, zero_gain):
+        # callers that rebind ``slicepower.waterfill.waterfill`` (the benchmark's
+        # tracer, say) see every call, on the all-positive path and the masked one
+        calls = []
+
+        def counting(gains, rate_target):
+            calls.append(len(gains))
+            return waterfill(gains, rate_target)
+
+        # the package re-exports the function under the module's name
+        monkeypatch.setattr(importlib.import_module("slicepower.waterfill"), "waterfill", counting)
+        gamma = np.array([0.0 if zero_gain else 0.5, 2.0, 1.0])
+        p_e = embb_power(gamma, 1.0)
+        sic_power(p_e, gamma, 1.0, Scheme.NOMA)
+        assert calls == [2, 2] if zero_gain else calls == [3, 3]
