@@ -12,6 +12,7 @@ target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 _SIC_REL_TOL = 1e-9
+# a step below this share of the largest active power only moves float rounding
+_STEP_RESOLUTION = 1e-12
 
 
 class Algorithm:
@@ -58,7 +61,7 @@ class BcdOptions:
 
     The initial step [mW] is ``mu0_fraction`` of the mean starting power.
     The step halves after any sweep that changes nothing and the loop
-    stops at ``tau``.
+    stops at ``tau``, or sooner once the step is float noise on the powers.
     A move is accepted only when the frozen-draw estimate plus its
     confidence half-width stays at or below the outage target, so the
     final point is feasible with margin rather than by luck.
@@ -68,6 +71,11 @@ class BcdOptions:
     tau: float = 1e-7
     draws: int = 10**6
     use_margin: bool = True
+
+    def __post_init__(self):
+        for name in ("mu0_fraction", "tau"):  # the first step and the stop
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ def descend_urllc_power(
     active = [f for f in range(p.size) if p[f] > floor[f]]
     mu = options.mu0_fraction * float(np.mean(p))
     sweeps = 0
-    while mu > options.tau and active:
+    while active and mu > max(options.tau, _STEP_RESOLUTION * max(p[f] for f in active)):
         changed = False
         for f in list(active):
             candidate = max(floor[f], p[f] - mu)

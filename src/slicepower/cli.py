@@ -33,6 +33,11 @@ def _fmt_dbm_vector(values_mw) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
+def _overrides(args, names) -> dict:
+    """The config fields among ``names`` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_table_build(args) -> int:
     axis_pe = None
     if args.no_interference_only:
@@ -62,9 +67,8 @@ def _cmd_table_query(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    overrides = {k: v for k, v in vars(args).items() if v is not None
-                 and k in ("m_u", "table_trials", "crn_draws", "evidence_trials")}
-    cfg = load_config(args.config, overrides=overrides)
+    cfg = load_config(args.config, overrides=_overrides(
+        args, ("m_u", "table_trials", "crn_draws", "evidence_trials")))
     grid = cfg.grid()
     traffic = cfg.traffic()
     scheme, f_u_count = scheme_f_u_count(args.scheme, grid.F)
@@ -104,14 +108,8 @@ def _cmd_allocate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.drops is not None:
-        overrides["drops"] = args.drops
-    if args.auto_build_tables:
-        overrides["auto_build_tables"] = True
-    cfg = load_config(args.config, overrides=overrides)
+    cfg = load_config(args.config,
+                      overrides=_overrides(args, ("seed", "drops", "auto_build_tables")))
     records = run_sweep(cfg, out_dir=args.out)
     print(f"{len(records)} sweep records written to {args.out}"
           if records else "empty sweep: no output files")
@@ -187,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", required=True, help="output directory")
     swp.add_argument("--seed", type=int, default=None, help="override the config seed")
     swp.add_argument("--drops", type=int, default=None)
-    swp.add_argument("--auto-build-tables", action="store_true")
+    swp.add_argument("--auto-build-tables", action="store_true", default=None)
     swp.set_defaults(func=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a test suite")

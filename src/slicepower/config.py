@@ -65,9 +65,9 @@ class ScenarioConfig:
     table_dir: str = "tables"
     auto_build_tables: bool = False
     table_trials: int = 10**7
-    crn_draws: int = 10**6
-    mu0_fraction: float = 0.1
-    tau: float = 1e-7
+    crn_draws: int = BcdOptions.draws
+    mu0_fraction: float = BcdOptions.mu0_fraction
+    tau: float = BcdOptions.tau
     evidence_trials: int = 10**6
 
     def __post_init__(self):
@@ -78,13 +78,12 @@ class ScenarioConfig:
         for name in ("drops",) + _SAMPLE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("mu0_fraction", "tau"):  # the descent's first step and its stop
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        # the derived objects check F and M, epsilon_u, the window and the path loss
+        # the derived objects check F and M, epsilon_u, the window, the path loss
+        # and the descent's first step and stop
         self.grid()
         self.traffic()
         self.geometry()
+        self.bcd_options()
         for label in self.schemes:
             scheme_f_u_count(label, self.f_count)
         for algo in self.algorithms:

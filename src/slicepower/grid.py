@@ -86,28 +86,32 @@ class TrafficSpec:
 
 @dataclass(frozen=True)
 class ResourceSets:
-    """Frequency and mini-slot index sets assigned to the two users."""
+    """Frequency and mini-slot index sets assigned to the two users; the
+    broadband frequencies follow from the scheme."""
 
     f_u: tuple
-    f_e: tuple
     m_u: tuple
     scheme: Scheme
     grid: ResourceGrid = field(repr=False)
 
     def __post_init__(self):
-        full = tuple(range(self.grid.F))
-        if self.scheme is Scheme.NOMA:
-            if self.f_e != full:
-                raise ValueError("NOMA must give the broadband user the full band")
-        else:
-            if set(self.f_u) & set(self.f_e):
-                raise ValueError("OMA frequency sets must be disjoint")
-            if tuple(sorted(set(self.f_u) | set(self.f_e))) != full:
-                raise ValueError("OMA frequency sets must partition the band")
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        if any(f < 0 or f >= self.grid.F for f in self.f_u):
+            raise ValueError(f"frequency indices out of range 0..{self.grid.F - 1}")
+        if len(set(self.f_u)) != len(self.f_u):
+            raise ValueError("duplicate frequency indices")
         if not self.m_u:
             raise ValueError("the URLLC window must span at least one mini-slot")
         if list(self.m_u) != list(range(min(self.m_u), min(self.m_u) + len(self.m_u))):
             raise ValueError("URLLC mini-slots must be contiguous")
+        if min(self.m_u) < 0 or max(self.m_u) >= self.grid.M:
+            raise ValueError(f"mini-slot indices out of range 0..{self.grid.M - 1}")
+
+    @property
+    def f_e(self) -> tuple:
+        """The whole band under NOMA; under OMA, the frequencies URLLC leaves."""
+        return tuple(f for f in range(self.grid.F)
+                     if self.scheme is Scheme.NOMA or f not in self.f_u)
 
     @property
     def m_e(self) -> tuple:
@@ -170,26 +174,16 @@ def build_resource_sets(
     the already-elapsed waiting time.  Channel gains are static over the
     slot so any admissible window performs identically.
     """
-    scheme = Scheme(scheme)
-    f_u = tuple(sorted(int(f) for f in f_u))
-    if any(f < 0 or f >= grid.F for f in f_u):
-        raise ValueError(f"frequency indices out of range 0..{grid.F - 1}")
-    if len(set(f_u)) != len(f_u):
-        raise ValueError("duplicate frequency indices")
     if traffic.M_u_max > grid.M:
         raise ValueError(
             f"latency budget M_u_max={traffic.M_u_max} exceeds the slot "
             f"({grid.M} mini-slots)"
         )
-    if m_u_count < 1:
-        raise ValueError("the URLLC window must span at least one mini-slot")
     if m_u_count > traffic.max_window:
         raise LatencyInfeasibleError(
             f"window of {m_u_count} mini-slots exceeds the remaining budget "
             f"{traffic.max_window} (M_u_max={traffic.M_u_max}, W_u={traffic.W_u})"
         )
-
-    full = tuple(range(grid.F))
-    f_e = full if scheme is Scheme.NOMA else tuple(f for f in full if f not in set(f_u))
-    m_u = tuple(range(traffic.W_u, traffic.W_u + m_u_count))
-    return ResourceSets(f_u=f_u, f_e=f_e, m_u=m_u, scheme=scheme, grid=grid)
+    return ResourceSets(f_u=tuple(sorted(int(f) for f in f_u)),
+                        m_u=tuple(range(traffic.W_u, traffic.W_u + m_u_count)),
+                        scheme=scheme, grid=grid)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class OutageTable:
     values: np.ndarray
     trials: int
     seed: int
-    version: int = _FORMAT_VERSION
+    version: int = field(default=_FORMAT_VERSION, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis_pu_dbm", np.asarray(self.axis_pu_dbm, dtype=float))
@@ -259,5 +259,4 @@ def load_table(path) -> OutageTable:
         values=np.asarray(axes["values"], float),
         trials=int(meta["trials"]),
         seed=int(meta["seed"]),
-        version=int(meta["version"]),
     )

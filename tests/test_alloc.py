@@ -143,6 +143,23 @@ class TestDescentAllocator:
         assert np.all(out >= floor - 1e-15)
         assert sweeps >= 1
 
+    @pytest.mark.parametrize("tau", [1e-15, 1e-300])
+    def test_step_below_float_resolution_ends_the_descent(self, tau):
+        # at these tau a step of one ulp decides a try by rounding alone; capping
+        # the tries turns a descent that never ends into a failure
+        class Capped(CommonRandomOutage):
+            tries = 0
+
+            def try_coordinate(self, f, value):
+                Capped.tries += 1
+                assert Capped.tries <= 5000, "the descent does not end"
+                return super().try_coordinate(f, value)
+
+        crn = Capped(GAMMA_U, 3, 4.0, draws=4000, seed=5)
+        _, sweeps = descend_urllc_power(np.full(3, 500.0), np.zeros(3), np.zeros(3), crn,
+                                        EPS, BcdOptions(draws=4000, tau=tau))
+        assert sweeps <= 100
+
     def test_single_frequency_converges_to_closed_form(self):
         # margin off so the stop point tracks the exact quantile rather
         # than the deliberately conservative default

@@ -36,6 +36,7 @@ class TestDefaults:
         assert cfg.geometry().cell_radius == 500.0
         tuned = ScenarioConfig(mu0_fraction=0.2, tau=1e-3, crn_draws=7)
         assert tuned.bcd_options() == BcdOptions(mu0_fraction=0.2, tau=1e-3, draws=7)
+        assert ScenarioConfig().bcd_options() == BcdOptions()
 
     @pytest.mark.parametrize("snr_db", [30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
     def test_mean_gain_at_the_distance_anchors(self, snr_db):
@@ -141,8 +142,8 @@ class TestValidation:
         ("d_u", (5.0,), "5 m is outside the 500 m cell"),  # inside d0 = 10 m
         ("d_u", (5000.0,), "5000 m is outside the 500 m cell"),
         ("gamma_e_db", (10.0,), "1469.06 m is outside the 500 m cell"),
-        # a non-positive or NaN step returns the start with 0 sweeps; tau <= 0
-        # halves the step until it underflows
+        # a non-positive or NaN step returns the start with 0 sweeps; an infinite
+        # one never halves, and tau <= 0 halves the step until it underflows
         ("mu0_fraction", 0.0, "mu0_fraction must be positive and finite"),
         ("mu0_fraction", -0.1, "mu0_fraction must be positive and finite"),
         ("mu0_fraction", math.nan, "mu0_fraction must be positive and finite"),
@@ -153,10 +154,12 @@ class TestValidation:
         ("tau", math.inf, "tau must be positive and finite"),
     ])
     def test_rejected_at_construction(self, field, value, message):
-        with pytest.raises(ValueError, match=message):
-            ScenarioConfig(**{field: value})
-        with pytest.raises(ValueError, match=message):
-            dataclasses.replace(ScenarioConfig(), **{field: value})
+        builds = [ScenarioConfig, lambda **kw: dataclasses.replace(ScenarioConfig(), **kw)]
+        if field in ("mu0_fraction", "tau"):  # the descent's own controls check themselves
+            builds.append(BcdOptions)
+        for build in builds:
+            with pytest.raises(ValueError, match=message):
+                build(**{field: value})
 
     def test_override_replaces_a_bad_file_value(self, tmp_path):
         # the file value is never checked on its own: one construction

@@ -6,6 +6,7 @@ import pytest
 from slicepower import (
     LatencyInfeasibleError,
     ResourceGrid,
+    ResourceSets,
     Scheme,
     TrafficSpec,
     build_resource_sets,
@@ -100,13 +101,13 @@ class TestResourceSets:
     def test_noma_shares_full_band(self):
         sets = build_resource_sets(Scheme.NOMA, GRID, tuple(range(12)), 1, default_traffic())
         assert sets.f_u == tuple(range(12))
-        assert sets.f_e == tuple(range(12))
+        assert sets.f_e == tuple(range(12)) and sets.F_e == 12
 
     def test_oma_partition(self):
         grid = ResourceGrid(F=6, M=4, delta_f=180e3, T=1e-3)
         traffic = default_traffic(M_u_max=4)
         sets = build_resource_sets(Scheme.OMA, grid, (1, 3, 5), 2, traffic)
-        assert sets.f_e == (0, 2, 4)
+        assert sets.f_e == (0, 2, 4) and sets.F_e == 3
         assert set(sets.f_u) | set(sets.f_e) == set(range(6))
         assert not set(sets.f_u) & set(sets.f_e)
 
@@ -135,6 +136,24 @@ class TestResourceSets:
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(ValueError):
             build_resource_sets(Scheme.NOMA, GRID, (1, 1, 2), 1, default_traffic())
+
+    @pytest.mark.parametrize("f_u,m_u,message", [
+        ((0, 12), (0,), "out of range"),
+        ((-1,), (0,), "out of range"),
+        ((2, 2), (0,), "duplicate"),
+        ((0,), (), "at least one mini-slot"),
+        ((0,), (1, 3), "contiguous"),
+        ((0,), (6, 7), "mini-slot indices out of range"),
+    ])
+    def test_direct_construction_is_checked(self, f_u, m_u, message):
+        with pytest.raises(ValueError, match=message):
+            ResourceSets(f_u=f_u, m_u=m_u, scheme=Scheme.OMA, grid=GRID)
+
+    def test_scheme_label_is_read_as_a_scheme(self):
+        sets = ResourceSets(f_u=(0,), m_u=(0,), scheme="noma", grid=GRID)
+        assert sets.scheme is Scheme.NOMA and sets.f_e == tuple(range(12))
+        with pytest.raises(ValueError, match="tdma"):
+            ResourceSets(f_u=(0,), m_u=(0,), scheme="tdma", grid=GRID)
 
 
 class TestTrafficSpec:

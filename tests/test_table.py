@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import importlib
 import math
@@ -150,6 +151,12 @@ class TestPersistence:
         assert np.array_equal(loaded.values, table.values)
         for name in ("gamma_u", "f_count", "r_u", "m_u", "trials", "seed", "version"):
             assert getattr(loaded, name) == getattr(table, name)
+
+    def test_version_is_the_format_version(self):
+        # a table that claims another version would save a file load_table refuses
+        assert synthetic_table().version == table_module._FORMAT_VERSION
+        with pytest.raises(ValueError, match="version"):
+            dataclasses.replace(synthetic_table(), version=2)
 
     def test_failed_save_leaves_previous_table(self, tmp_path, monkeypatch):
         path = tmp_path / "table.npz"
