@@ -100,6 +100,11 @@ class ResourceSets:
             raise ValueError(f"frequency indices out of range 0..{self.grid.F - 1}")
         if len(set(self.f_u)) != len(self.f_u):
             raise ValueError("duplicate frequency indices")
+        if self.scheme is Scheme.OMA and len(self.f_u) == self.grid.F:
+            raise ValueError(
+                f"OMA reserves all {self.grid.F} frequencies for URLLC, "
+                "leaving the broadband user none"
+            )
         if not self.m_u:
             raise ValueError("the URLLC window must span at least one mini-slot")
         if list(self.m_u) != list(range(min(self.m_u), min(self.m_u) + len(self.m_u))):

@@ -31,7 +31,13 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-#: draws per block of fading gains; it bounds the working memory of the kernels
+#: float64 values per draw-major block of fading gains (96 KiB, 1024 draws
+#: of 12 resources): below glibc's 128 KiB mmap threshold, so the blocks of
+#: each call come from the heap and map no fresh pages
+_BLOCK = 3 << 12
+#: draws per block of the resource-major pass over frozen draws; each block
+#: makes about F_u + 5 numpy calls, and at F_u = 12 a 1024-draw block made
+#: a 1e5-draw attach 1.7x slower than this width
 _ROWS = 1 << 12
 #: margin of the near set: its width grows with a try's largest fall by
 #: this share and this many nats, far above the rounding of any rate or total
@@ -104,10 +110,12 @@ class OutageEstimate:
 
 
 def _power_vectors(p_u, p_e, f_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float copies of both power vectors over ``f_count`` resources."""
-    p_u = np.array(np.broadcast_to(np.asarray(p_u, dtype=float), (f_count,)))
-    p_e = np.array(np.broadcast_to(np.asarray(p_e, dtype=float), (f_count,)))
-    if not (np.all(p_u >= 0.0) and np.all(p_e >= 0.0)):
+    """Both power vectors as float arrays over ``f_count`` resources,
+    checked to be non-negative (NaN fails); they may be read-only views."""
+    p_u, p_e = (np.asarray(p, dtype=float) for p in (p_u, p_e))
+    if p_u.shape != (f_count,) or p_e.shape != (f_count,):
+        p_u, p_e = np.broadcast_to(p_u, (f_count,)), np.broadcast_to(p_e, (f_count,))
+    if not (p_u.min() >= 0.0 and p_e.min() >= 0.0):
         raise ValueError("powers must be non-negative")
     return p_u, p_e
 
@@ -123,15 +131,67 @@ def _target_nats(gamma_u_mean: float, samples: int, f_count: int, r_u: float) ->
     return f_count * r_u * _LN2
 
 
+def _block_rows(f_count: int) -> int:
+    """Draws per draw-major block of ``F_u`` columns."""
+    return max(1, _BLOCK // f_count)
+
+
 def _fading_blocks(seed: int, label: str, draws: int, f_count: int, gamma_u_mean: float):
     """``(rows, block)`` pairs of one ``(draws, F_u)`` exponential draw of mean
-    ``gamma_u_mean`` from stream ``label``, in one reused C-ordered buffer."""
-    gen = rngmod.substream(seed, label)
-    buffer = np.empty((_ROWS, f_count))
-    for start in range(0, draws, _ROWS):
+    ``gamma_u_mean`` from stream ``label``, in one reused C-ordered buffer.
+
+    How the draw is cut into blocks does not change its values: the
+    stream fills C order whatever the block."""
+    gen, step = rngmod.substream(seed, label), _block_rows(f_count)
+    buffer = np.empty((step, f_count))
+    for start in range(0, draws, step):
         block = gen.standard_exponential(out=buffer[:draws - start])
         block *= gamma_u_mean
         yield slice(start, start + len(block)), block
+
+
+def _row_totals(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each draw's total rate ``sum_f cols[f]``, into ``out``, by whole-column adds.
+
+    ``cols`` holds one row of rates per resource, so a draw-major block
+    passes its transpose.  The adds follow numpy's pairwise summation of
+    one draw, so the bits equal ``sum(axis=1)`` over the draw-major block
+    (``tests/test_outage_properties.py`` checks this):
+
+    - fewer than 8 values add in order;
+    - up to 128, 8 running sums take every 8th value, add as
+      ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, and the last ``F mod 8``
+      values follow in order;
+    - a longer row adds its two halves, split at a multiple of 8.
+
+    numpy's reduction starts at 0.0, which only turns a -0.0 total into +0.0.
+    One call makes ``F - 1`` adds over ``len(out)`` draws where
+    ``sum(axis=1)`` runs one short inner loop per draw.
+    """
+    f_count = len(cols)
+    if f_count > 128:
+        half = f_count // 2 - f_count // 2 % 8
+        _row_totals(cols[:half], out)
+        out += _row_totals(cols[half:], np.empty_like(out))
+    elif f_count < 8:
+        np.add(cols[0], cols[1] if f_count > 1 else 0.0, out=out)
+        for col in cols[2:]:
+            out += col
+    else:
+        tail = f_count - f_count % 8
+        sums = list(cols[:8])
+        for start in range(8, tail, 8):
+            sums = [np.add(s, col) for s, col in zip(sums, cols[start:start + 8])]
+        np.add(sums[0], sums[1], out=out)
+        left, right = np.add(sums[2], sums[3]), np.add(sums[6], sums[7])
+        out += left
+        np.add(sums[4], sums[5], out=left)
+        left += right
+        out += left
+        for col in cols[tail:]:
+            out += col
+    out += 0.0
+    return out
 
 
 def _outages(total_nats: np.ndarray, target_nats: float) -> int:
@@ -147,13 +207,19 @@ def _sure_outage(p_u: np.ndarray, p_e: np.ndarray, target_nats: float) -> bool:
     unbounded rate.
     """
     bound = 0.0
-    for pu_f, pe_f in zip(p_u, p_e):
+    for pu_f, pe_f in zip(p_u.tolist(), p_e.tolist()):
         if pu_f <= 0.0:
             continue
         if pe_f <= 0.0:
             return False
         bound += math.log1p(pu_f / pe_f)
     return bound <= target_nats
+
+
+def _block_factor(p: np.ndarray, rows: int) -> np.ndarray:
+    """A power vector as a factor of draw-major blocks of up to ``rows``
+    draws: a ``(1, 1)`` scalar when uniform, else the vector tiled to a block."""
+    return p[:1, None] if (p == p[0]).all() else np.tile(p, (rows, 1))
 
 
 def estimate_outage(
@@ -180,10 +246,13 @@ def estimate_outage(
     if _sure_outage(p_u, p_e, target_nats):
         return OutageEstimate(1.0, trials, 0.0)
 
-    rate, outages = np.empty((_ROWS, f_count)), 0
+    rows = _block_rows(f_count)
+    rate, total, outages = np.empty((rows, f_count)), np.empty(rows), 0
+    p_u, p_e = _block_factor(p_u, rows), _block_factor(p_e, rows)
     for _, gamma in _fading_blocks(seed, "outage", trials, f_count, gamma_u_mean):
-        block = _sinr_rate_nats(gamma, p_u, p_e, den=gamma, out=rate[:len(gamma)])
-        outages += _outages(block.sum(axis=1), target_nats)
+        n = len(gamma)
+        block = _sinr_rate_nats(gamma, p_u[:n], p_e[:n], den=gamma, out=rate[:n])
+        outages += _outages(_row_totals(block.T, total[:n]), target_nats)
     return OutageEstimate.from_counts(outages, trials)
 
 
@@ -245,14 +314,13 @@ class CommonRandomOutage:
     def _columns(self, p_u: np.ndarray, p_e: np.ndarray):
         """Rate columns at checked vectors, and the per-draw totals."""
         rate, total = np.empty_like(self._gamma), np.empty(self.draws)
-        gamma, block = np.empty((2, _ROWS, self.f_count))
-        for start in range(0, self.draws, _ROWS):  # draw-major, as in estimate_outage
+        den = np.empty((self.f_count, min(_ROWS, self.draws)))
+        p_u, p_e = p_u[:, None], p_e[:, None]
+        for start in range(0, self.draws, _ROWS):
             rows = slice(start, start + _ROWS)
-            g = gamma[:self.draws - start]
-            g[:] = self._gamma[:, rows].T
-            b = _sinr_rate_nats(g, p_u, p_e, den=g, out=block[:len(g)])
-            b.sum(axis=1, out=total[rows])
-            rate[:, rows] = b.T
+            b = _sinr_rate_nats(self._gamma[:, rows], p_u, p_e, den=den[:, :self.draws - start],
+                                out=rate[:, rows])
+            _row_totals(b, total[rows])
         return rate, total
 
     def estimate(self, p_u, p_e) -> OutageEstimate:
@@ -264,7 +332,7 @@ class CommonRandomOutage:
 
     def attach(self, p_u, p_e) -> OutageEstimate:
         """Fix the working vectors and cache the columns and per-draw totals."""
-        self._p_u, self._p_e = _power_vectors(p_u, p_e, self.f_count)
+        self._p_u, self._p_e = map(np.array, _power_vectors(p_u, p_e, self.f_count))
         self._rate, self._total = self._columns(self._p_u, self._p_e)
         self._col, self._den = np.empty(self.draws), np.empty(self.draws)
         self._near = None

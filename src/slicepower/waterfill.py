@@ -40,7 +40,15 @@ def waterfill(gains: np.ndarray, rate_target: float) -> np.ndarray:
     log2_inv = np.log2(inv_sorted)
     # level when the k best channels are active, in log2 domain
     log2_mu = (rate_target + log2_inv.cumsum()) / np.arange(1.0, g.size + 1.0)
-    k = (log2_mu > log2_inv).nonzero()[0].max() + 1  # k=1 is always admissible
+    admissible = (log2_mu > log2_inv).nonzero()[0]
+    # k=1 is admissible in exact arithmetic; a rate below the rounding of
+    # log2(1/g) leaves none, and the best channel alone then gets about 0
+    k = admissible[-1] + 1 if admissible.size else 1
+    if log2_mu[k - 1] >= 1024.0:  # 2**1024 overflows float64
+        raise RateInfeasibleError(
+            f"rate target {rate_target:g} bit/s/Hz needs a water level of "
+            f"2^{log2_mu[k - 1]:.0f}, beyond float64 range"
+        )
 
     powers = np.zeros(g.size)
     powers[order[:k]] = 2.0 ** log2_mu[k - 1] - inv_sorted[:k]

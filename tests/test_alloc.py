@@ -237,6 +237,12 @@ class TestEmbbStage:
             with pytest.raises(ValueError, match="read-only"):
                 values *= 2.0
 
+    def test_oma_reservation_of_the_whole_band_is_named(self):
+        # it used to fail in spectral_efficiency with "got F=0, M=7"
+        grid = ResourceGrid(F=4, M=7, delta_f=180e3, T=1e-3)
+        with pytest.raises(ValueError, match="OMA reserves all 4 frequencies"):
+            embb_stage(grid, TRAFFIC, np.ones(4), Scheme.OMA, 4, 1)
+
     def test_shared_stage_matches_fresh_stages(self, noma_table):
         # the sweep runs both algorithms of a drop on one stage
         shared = stage(5)

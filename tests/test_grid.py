@@ -149,6 +149,15 @@ class TestResourceSets:
         with pytest.raises(ValueError, match=message):
             ResourceSets(f_u=f_u, m_u=m_u, scheme=Scheme.OMA, grid=GRID)
 
+    def test_oma_may_not_reserve_the_whole_band(self):
+        # the broadband user would be left with no frequency at all
+        with pytest.raises(ValueError, match="OMA reserves all 12 frequencies"):
+            ResourceSets(f_u=tuple(range(12)), m_u=(0,), scheme=Scheme.OMA, grid=GRID)
+        with pytest.raises(ValueError, match="OMA reserves all 12 frequencies"):
+            build_resource_sets(Scheme.OMA, GRID, tuple(range(12)), 1, default_traffic())
+        assert ResourceSets(f_u=tuple(range(11)), m_u=(0,), scheme=Scheme.OMA, grid=GRID).f_e == (11,)
+        assert ResourceSets(f_u=tuple(range(12)), m_u=(0,), scheme=Scheme.NOMA, grid=GRID).F_e == 12
+
     def test_scheme_label_is_read_as_a_scheme(self):
         sets = ResourceSets(f_u=(0,), m_u=(0,), scheme="noma", grid=GRID)
         assert sets.scheme is Scheme.NOMA and sets.f_e == tuple(range(12))

@@ -121,17 +121,16 @@ class TestEstimateOutage:
 
 
 class TestBlockedKernelMatchesOneShot:
-    """``estimate_outage`` draws and sums in blocks of 4096 draws; its
-    per-draw totals and estimate equal those of one unblocked draw."""
+    """``estimate_outage`` draws and sums in blocks; its per-draw totals and
+    estimate equal those of one unblocked draw."""
 
     #: (Pu, Pe) per resource, cycled: no interference, interfered, no power,
     #: and a resource whose rate is capped far below the target
     RESOURCES = [(2.0, 0.0), (2.0, 0.5), (0.0, 0.5), (0.01, 1.0)]
 
-    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 99_991])
-    @pytest.mark.parametrize("f_count", [1, 3, 12])
-    def test_totals_and_estimate_match(self, monkeypatch, trials, f_count):
-        p_u, p_e = np.array([self.RESOURCES[f % 4] for f in range(f_count)]).T
+    @staticmethod
+    def _matches_one_shot(monkeypatch, p_u, p_e, trials, seed):
+        """Estimate and per-block totals, checked against one unblocked draw."""
         totals, count = [], outage._outages
 
         def spy(total_nats, target_nats):
@@ -139,11 +138,31 @@ class TestBlockedKernelMatchesOneShot:
             return count(total_nats, target_nats)
 
         monkeypatch.setattr(outage, "_outages", spy)
-        est = estimate_outage(p_u, p_e, 4.0, 1.0, trials, seed=7)
-        assert est == one_shot_outage(p_u, p_e, 4.0, 1.0, trials, 7)
-        assert np.array_equal(np.concatenate(totals), one_shot_totals(p_u, p_e, 4.0, trials, 7))
+        est = estimate_outage(p_u, p_e, 4.0, 1.0, trials, seed=seed)
+        assert est == one_shot_outage(p_u, p_e, 4.0, 1.0, trials, seed)
+        assert np.array_equal(np.concatenate(totals), one_shot_totals(p_u, p_e, 4.0, trials, seed))
+        return est, totals
+
+    @pytest.mark.parametrize("trials", [1, 4095, 4096, 4097, 99_991])
+    @pytest.mark.parametrize("f_count", [1, 3, 12])
+    def test_totals_and_estimate_match(self, monkeypatch, trials, f_count):
+        p_u, p_e = np.array([self.RESOURCES[f % 4] for f in range(f_count)]).T
+        est, _ = self._matches_one_shot(monkeypatch, p_u, p_e, trials, 7)
         if trials == 99_991:
             assert 0.1 < est.p_hat < 0.4
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("f_count", [1, 5, 12])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_block_edges_match(self, monkeypatch, uniform, f_count, extra):
+        # one draw short of, at, and one past a block, and two blocks and one
+        p_u, p_e = np.array([self.RESOURCES[f % 4] for f in range(f_count)]).T
+        if uniform:
+            p_u, p_e = np.full(f_count, 2.0), np.full(f_count, 0.5)
+        rows = outage._block_rows(f_count)
+        trials = rows + extra if extra < 2 else 2 * rows + 1
+        _, totals = self._matches_one_shot(monkeypatch, p_u, p_e, trials, 8)
+        assert [len(t) for t in totals[:-1]] == [rows] * (len(totals) - 1)
 
     @pytest.mark.parametrize("trials", [1, 4097])
     @pytest.mark.parametrize("f_count", [1, 3, 12])
@@ -153,6 +172,16 @@ class TestBlockedKernelMatchesOneShot:
             est = estimate_outage(p_u, p_e, 4.0, 1.0, trials, seed=7)
             assert est == one_shot_outage(p_u, p_e, 4.0, 1.0, trials, 7)
             assert est.p_hat == 1.0
+
+
+class TestRowTotals:
+    @pytest.mark.parametrize("f_count", [64, 128, 129, 136, 300])
+    def test_wide_rows_equal_numpy_sum(self, f_count):
+        # past 128 values numpy sums the two halves of a row separately
+        rng = np.random.default_rng(f_count)
+        values = rng.exponential(size=(300, f_count)) * 10.0 ** rng.uniform(-8, 8, (300, f_count))
+        got = outage._row_totals(values.T, np.empty(300))
+        assert got.tobytes() == values.sum(axis=1).tobytes()
 
 
 class TestSingleFrequencyPower:

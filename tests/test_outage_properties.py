@@ -7,6 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from slicepower import CommonRandomOutage  # noqa: E402
+from slicepower.outage import _row_totals  # noqa: E402
 from slicepower.units import snr_db_to_gain  # noqa: E402
 
 from oracles import UncachedCommonRandomOutage  # noqa: E402
@@ -31,6 +32,29 @@ def test_coordinate_try_equals_full_recompute(data):
     moved = p_u.copy()
     moved[f] = value
     assert crn.try_coordinate(f, value).p_hat == crn.estimate(moved, p_e).p_hat
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    f_count=st.integers(1, 24), rows=st.integers(1, 5000), low=st.integers(-300, 300),
+    span=st.integers(0, 600), seed=st.integers(0, 2**32 - 1), zeros=st.booleans(),
+)
+def test_row_totals_equal_numpy_sum_bitwise(f_count, rows, low, span, seed, zeros):
+    # magnitudes from 10^low to 10^(low+span), within 1e-300..1e300, both
+    # signs, and with exact +0.0 and -0.0 entries when ``zeros``
+    rng = np.random.default_rng(seed)
+    high = min(low + span, 300)
+    values = 10.0 ** rng.uniform(low, high, (rows, f_count))
+    values *= rng.choice([-1.0, 1.0], values.shape)
+    if zeros:
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] = -0.0
+    expected = values.sum(axis=1)
+    # draw-major: the columns of a C-ordered block; resource-major: the
+    # C-ordered rows of its transpose
+    for cols in (values.T, np.ascontiguousarray(values.T)):
+        got = _row_totals(cols, np.empty(rows))
+        assert got.tobytes() == expected.tobytes()
 
 
 #: what a try or commit does to a coordinate's power: cut it to zero, lower

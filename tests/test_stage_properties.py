@@ -74,3 +74,35 @@ def test_broadband_stage_matches_reference_bitwise(gains, rate, data):
         _same(sic_power, ref_sic_power, interference, gains, rate, Scheme.NOMA)
     k = data.draw(st.integers(0, gains.size), label="f_u_count")
     _same(select_urllc_frequencies, ref_select_urllc_frequencies, gains, k)
+
+
+def _same_or_infeasible(fn, ref_fn, *args):
+    """The reference's finite output bit for bit, or ``RateInfeasibleError``
+    where the reference overflows to a non-finite power."""
+    try:
+        with np.errstate(over="ignore"):
+            expected = ref_fn(*args)
+    except (ValueError, RateInfeasibleError) as exc:
+        with pytest.raises(type(exc)):
+            fn(*args)
+        return None
+    if not np.isfinite(expected).all():
+        with pytest.raises(RateInfeasibleError, match="beyond float64 range"):
+            fn(*args)
+        return None
+    got = fn(*args)
+    _bitwise(got, expected)
+    return got
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(gains=gain_vectors(), rate=st.floats(16.0, 100.0), data=st.data())
+def test_high_rates_match_reference_or_are_infeasible(gains, rate, data):
+    # few usable channels carry the rate of all: levels past 2^1024 occur
+    gains[data.draw(st.integers(1, gains.size), label="usable"):] = 0.0
+    positive = gains[gains > 0.0]
+    if positive.size:
+        _same_or_infeasible(waterfill, ref_waterfill, positive, rate * positive.size)
+    p_e = _same_or_infeasible(embb_power, ref_embb_power, gains, rate)
+    if p_e is not None:
+        _same_or_infeasible(sic_power, ref_sic_power, p_e, gains, rate, Scheme.NOMA)

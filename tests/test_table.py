@@ -10,7 +10,10 @@ import pytest
 
 from slicepower import TableExhaustedError, build_table, estimate_outage, load_table, min_feasible_power, save_table
 from slicepower.table import OutageTable, cell_seed, default_interference_axis_dbm, default_power_axis_dbm
+from slicepower.outage import _block_rows
 from slicepower.units import dbm_to_mw
+
+from oracles import one_shot_outage
 
 table_module = importlib.import_module("slicepower.table")
 
@@ -76,6 +79,26 @@ class TestBuild:
             seed = int(cell_seed(42, axis_pu[j], axis_pe[i]).generate_state(1)[0])
             p_u, p_e = [dbm_to_mw(axis_pu[j])] * 12, [dbm_to_mw(axis_pe[i])] * 12
             assert table.values[i, j] == estimate_outage(p_u, p_e, 1.0, 1.0, 2000, seed).p_hat
+
+    @pytest.mark.parametrize("blocks", ["1", "block-1", "block", "block+1", "3block+5"])
+    @pytest.mark.parametrize("f_count", [3, 12])
+    def test_cells_equal_the_one_shot_oracle(self, f_count, blocks):
+        # every cell, sure or sampled, equals one unblocked draw under its
+        # sub-seed, at trial counts on both sides of the kernel's block size
+        rows = _block_rows(f_count)
+        trials = {"1": 1, "block-1": rows - 1, "block": rows, "block+1": rows + 1,
+                  "3block+5": 3 * rows + 5}[blocks]
+        axis_pu, axis_pe = np.array([-10.0, 0.0, 6.0, 12.0]), np.array([-math.inf, 0.0, 10.0])
+        table = build_table(0.5, f_count, 1.0, trials=trials, seed=23,
+                            axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe)
+        for i, j in np.ndindex(table.values.shape):
+            seed = int(cell_seed(23, axis_pu[j], axis_pe[i]).generate_state(1)[0])
+            p_u, p_e = [dbm_to_mw(axis_pu[j])] * f_count, [dbm_to_mw(axis_pe[i])] * f_count
+            oracle = one_shot_outage(p_u, p_e, 0.5, 1.0, trials, seed).p_hat
+            assert table.values[i, j].tobytes() == np.float64(oracle).tobytes()
+        assert np.all(table.values[1:, axis_pu <= 0.0] == 1.0)  # sure outages
+        if trials > 1:
+            assert np.any((0.0 < table.values) & (table.values < 1.0))
 
     def test_cell_equals_fresh_estimate(self):
         table = build_table(1.0, 12, 1.0, trials=3000, seed=17,

@@ -99,6 +99,25 @@ class TestWaterfill:
         with pytest.raises(ValueError, match="positive and finite"):
             waterfill(np.array([1.0, 2.0]), rate)
 
+    def test_rate_below_the_rounding_of_the_level(self):
+        # rate + log2(1/g) rounds back to log2(1/g), so no level is above
+        # its channel's; the best channel alone carries the rate
+        powers = waterfill(np.array([1e-9, 2e-9]), 1e-20)
+        assert powers[0] == 0.0
+        assert 0.0 <= powers[1] <= 1e-12 / 2e-9
+
+    def test_level_beyond_float_range_is_infeasible(self):
+        assert waterfill(np.array([1.0]), 1023.0)[0] == 2.0**1023 - 1.0
+        with pytest.raises(RateInfeasibleError, match="rate target 1024"):
+            waterfill(np.array([1.0]), 1024.0)
+        # one usable channel of six carries 6 x 86 bits, and its cancellation
+        # floor 516 more: a level of about 2^1032
+        gains = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        p_e = embb_power(gains, 86.0)
+        assert np.isfinite(p_e).all()
+        with pytest.raises(RateInfeasibleError, match="rate target 516"):
+            sic_power(p_e, gains, 86.0, Scheme.NOMA)
+
 
 class TestEmbbPower:
     def test_single_channel_reference(self):
