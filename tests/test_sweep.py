@@ -63,6 +63,22 @@ class TestRunSweep:
             assert 0.0 <= rec.mean_p_hat <= cfg.epsilon_u + 0.05
             assert math.isfinite(rec.mean_total_dbm)
 
+    def test_embb_distance_view_only_when_d_e_sweeps(self, tmp_path):
+        cfg = fast_config(tmp_path, d_e=(146.9, 200.0), drops=2)
+        out = tmp_path / "out"
+        run_sweep(cfg, out_dir=str(out))
+        views = sorted(name for name in os.listdir(out) if name.startswith("power_vs_de_"))
+        assert views == ["power_vs_de_du100.csv", "power_vs_de_du200.csv"]
+        for d_u in (100.0, 200.0):
+            with open(out / f"power_vs_de_du{d_u:g}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["d_u_m"] for row in rows} == {repr(d_u)}
+            keys = [(float(row["d_e_m"]), row["scheme"], row["algorithm"]) for row in rows]
+            assert keys == sorted(keys) and len(keys) == 2 * (2 + 1)
+        single = tmp_path / "single"
+        run_sweep(fast_config(tmp_path, drops=2), out_dir=str(single))
+        assert not [name for name in os.listdir(single) if name.startswith("power_vs_de_")]
+
     def test_bit_reproducible(self, tmp_path):
         cfg = fast_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
