@@ -51,7 +51,6 @@ def _cmd_table_build(args) -> int:
         axis_pe_dbm=axis_pe,
         m_u=args.m_u,
     )
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_table(table, args.out)
     print(f"wrote {args.out}: {table.values.shape[0]}x{table.values.shape[1]} cells, "
           f"trials={table.trials}, seed={table.seed}")

@@ -6,7 +6,8 @@ An empty config file (or none at all) reproduces the reference setup: a
 path-loss exponent 4 and -108 dBm receiver noise.  Config files are
 plain ``key = value`` lines; ``#`` starts a comment and lists are
 comma-separated.  A config checks itself on every construction, however
-it is built.
+it is built, and warns once about any sample size too small for its
+outage target.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class ScenarioConfig:
     m_u_max: int = 7
     w_u: int = 0
     # geometry and noise
-    antenna_gain_db: float = 17.15
-    carrier_hz: float = 2e9
-    d0: float = 10.0
-    path_loss_exponent: float = 4.0
-    cell_radius: float = 500.0
+    antenna_gain_db: float = Geometry.G_db
+    carrier_hz: float = Geometry.f0
+    d0: float = Geometry.d0
+    path_loss_exponent: float = Geometry.alpha
+    cell_radius: float = Geometry.cell_radius
     noise_dbm: float = -108.0
     # sweep definition
     schemes: tuple = ("noma", "oma-3", "oma-6", "oma-9")
@@ -93,6 +94,7 @@ class ScenarioConfig:
             if not self.d0 <= distance <= self.cell_radius:
                 raise ValueError(f"{distance:g} m is outside the {self.cell_radius:g} m cell "
                                  f"(d0 = {self.d0:g} m)")
+        _warn_small_samples(self)
 
     def grid(self) -> ResourceGrid:
         return ResourceGrid(F=self.f_count, M=self.m_count,
@@ -194,9 +196,7 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
                 if key not in kinds:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _parse_value(key, raw, kinds[key])
-    cfg = ScenarioConfig(**{**values, **(overrides or {})})
-    _warn_small_samples(cfg)
-    return cfg
+    return ScenarioConfig(**{**values, **(overrides or {})})
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

@@ -86,8 +86,8 @@ class TrafficSpec:
 
 @dataclass(frozen=True)
 class ResourceSets:
-    """Frequency and mini-slot index sets assigned to the two users; the
-    broadband frequencies follow from the scheme."""
+    """URLLC frequency and mini-slot index sets; the broadband frequencies
+    follow from the scheme, and the broadband user spans every mini-slot."""
 
     f_u: tuple
     m_u: tuple
@@ -117,11 +117,6 @@ class ResourceSets:
         """The whole band under NOMA; under OMA, the frequencies URLLC leaves."""
         return tuple(f for f in range(self.grid.F)
                      if self.scheme is Scheme.NOMA or f not in self.f_u)
-
-    @property
-    def m_e(self) -> tuple:
-        """The broadband user spans every mini-slot."""
-        return tuple(range(self.grid.M))
 
     @property
     def F_u(self) -> int:

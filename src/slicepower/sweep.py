@@ -13,7 +13,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +32,6 @@ __all__ = ["SweepRecord", "table_path", "table_build_command", "ensure_table", "
 
 log = logging.getLogger(__name__)
 
-_CSV_FIELDS = (
-    "scheme", "algorithm", "d_u_m", "d_e_m",
-    "mean_total_dbm", "mean_urllc_dbm", "mean_embb_dbm", "mean_p_hat", "drops",
-)
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -53,8 +48,8 @@ class SweepRecord:
     drops: int
 
     def row(self) -> dict:
-        return {name: repr(getattr(self, name)) if isinstance(getattr(self, name), float)
-                else str(getattr(self, name)) for name in _CSV_FIELDS}
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: repr(v) if isinstance(v, float) else str(v) for name, v in values.items()}
 
 
 def table_path(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float) -> str:
@@ -98,7 +93,6 @@ def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float,
     interference_row(default_interference_axis_dbm(), p_e_max_mw)
     log.info("building outage table %s (trials=%d)", path, cfg.table_trials)
     table = build_table(gamma_u, f_u, r_u, cfg.table_trials, cfg.seed, m_u=cfg.m_u)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     save_table(table, path)
     return table
 
@@ -147,29 +141,20 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
                     raise TableExhaustedError(f"at d_e = {d_e:g} m: {exc}") from exc
                 algos = cfg.algorithms if first.sets.scheme is Scheme.NOMA else (Algorithm.FEASIBLE,)
                 for algo in algos:
-                    totals, urllc, embb, p_hats = [], [], [], []
+                    results = []
                     for i, stage in enumerate(stages[scheme_label]):
-                        drop_seed = int(
-                            rngmod.derive_seed_sequence(
-                                cfg.seed, "alloc", scheme_label, algo,
-                                float(d_e), float(d_u), i,
-                            ).generate_state(1)[0]
-                        )
-                        result = allocate(
-                            stage, gamma_u_mean, algo, traffic.epsilon_u, drop_seed,
-                            table=table, bcd=bcd, evidence_trials=cfg.evidence_trials,
-                        )
-                        totals.append(result.p_total_mw)
-                        urllc.append(result.urllc_power_mw)
-                        embb.append(result.embb_power_mw)
-                        p_hats.append(result.p_u_hat.p_hat)
+                        drop_seed = rngmod.derive_seed_sequence(
+                            cfg.seed, "alloc", scheme_label, algo, float(d_e), float(d_u), i)
+                        results.append(allocate(stage, gamma_u_mean, algo, traffic.epsilon_u,
+                                                int(drop_seed.generate_state(1)[0]), table=table,
+                                                bcd=bcd, evidence_trials=cfg.evidence_trials))
                     records.append(SweepRecord(
                         scheme=scheme_label, algorithm=algo, d_u_m=d_u, d_e_m=d_e,
-                        mean_total_dbm=_mean_dbm(totals),
-                        mean_urllc_dbm=_mean_dbm(urllc),
-                        mean_embb_dbm=_mean_dbm(embb),
-                        mean_p_hat=float(np.mean(p_hats)),
-                        drops=cfg.drops,
+                        mean_total_dbm=_mean_dbm([r.p_total_mw for r in results]),
+                        mean_urllc_dbm=_mean_dbm([r.urllc_power_mw for r in results]),
+                        mean_embb_dbm=_mean_dbm([r.embb_power_mw for r in results]),
+                        mean_p_hat=float(np.mean([r.p_u_hat.p_hat for r in results])),
+                        drops=len(results),
                     ))
                     log.info("point done: %s", records[-1])
 
@@ -180,7 +165,7 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
 
 def write_records_csv(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(SweepRecord)])
         writer.writeheader()
         for rec in records:
             writer.writerow(rec.row())
@@ -189,30 +174,24 @@ def write_records_csv(records, path) -> None:
 def _emit_csvs(records, cfg: ScenarioConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_records_csv(records, os.path.join(out_dir, "records.csv"))
-    # one power-vs-URLLC-distance file per eMBB placement
-    for d_e in sorted({rec.d_e_m for rec in records}):
-        subset = sorted(
-            (r for r in records if r.d_e_m == d_e),
-            key=lambda r: (r.d_u_m, r.scheme, r.algorithm),
-        )
-        write_records_csv(subset, os.path.join(out_dir, f"power_vs_du_de{d_e:g}.csv"))
-    # one power-vs-eMBB-distance file per URLLC placement, when d_e sweeps
+    # one power-vs-URLLC-distance file per eMBB placement and, when d_e
+    # sweeps, one power-vs-eMBB-distance file per URLLC placement
+    views = [("d_e_m", "d_u_m", "power_vs_du_de")]
     if len({rec.d_e_m for rec in records}) > 1:
-        for d_u in sorted({rec.d_u_m for rec in records}):
-            subset = sorted(
-                (r for r in records if r.d_u_m == d_u),
-                key=lambda r: (r.d_e_m, r.scheme, r.algorithm),
-            )
-            write_records_csv(subset, os.path.join(out_dir, f"power_vs_de_du{d_u:g}.csv"))
+        views.append(("d_u_m", "d_e_m", "power_vs_de_du"))
+    for fixed, axis, stem in views:
+        for value in sorted({getattr(rec, fixed) for rec in records}):
+            subset = sorted((r for r in records if getattr(r, fixed) == value),
+                            key=lambda r: (getattr(r, axis), r.scheme, r.algorithm))
+            write_records_csv(subset, os.path.join(out_dir, f"{stem}{value:g}.csv"))
     # broadband-power summary by placement and scheme
     path = os.path.join(out_dir, "table_embb_power.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        schemes = list(cfg.schemes)
-        writer.writerow(["d_e_m"] + schemes)
+        writer.writerow(["d_e_m", *cfg.schemes])
         for d_e in sorted({rec.d_e_m for rec in records}):
             row = [repr(d_e)]
-            for scheme in schemes:
+            for scheme in cfg.schemes:
                 cells = [r.mean_embb_dbm for r in records
                          if r.d_e_m == d_e and r.scheme == scheme]
                 row.append(repr(float(np.mean(cells))) if cells else "")

@@ -198,12 +198,14 @@ def save_table(table: OutageTable, path) -> None:
 
     Both encodings round-trip bit-exactly: JSON stores shortest-repr
     floats (with ``-Infinity`` for the no-interference row) and the
-    binary form stores the raw float64 arrays.  A temporary file beside
-    ``path`` is renamed over it, so a failed save leaves the old table.
+    binary form stores the raw float64 arrays.  The directory is created
+    when missing, and a temporary file beside ``path`` is renamed over it,
+    so a failed save leaves the old table.
     """
     path = str(path)
     if not path.endswith((".json", ".npz")):
         raise ValueError(f"unsupported table format: {path!r} (use .json or .npz)")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

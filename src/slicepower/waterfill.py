@@ -19,20 +19,31 @@ from .grid import Scheme
 
 __all__ = ["waterfill", "embb_power", "sic_power", "il_power"]
 
+# a gain at or below this has no inverse below float64's largest value
+_UNREACHABLE = 1.0 / np.finfo(float).max
+
 
 def waterfill(gains: np.ndarray, rate_target: float) -> np.ndarray:
     """Minimum-power allocation over parallel channels with the given gains.
 
     Returns the per-channel powers in the input order; excluded channels
-    get exactly 0.  Gains must be strictly positive and finite.
+    get exactly 0.  Gains must be strictly positive and finite; a gain at
+    or below ``1 / finfo(float).max`` is unreachable and gets 0 as well.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError("gains must be a non-empty vector")
-    if not ((g > 0.0) & (g < np.inf)).all():
-        raise ValueError("waterfill needs strictly positive finite gains")
     if not 0.0 < rate_target < np.inf:
         raise ValueError(f"rate target must be positive and finite, got {rate_target}")
+    if not ((g > _UNREACHABLE) & (g < np.inf)).all():
+        if not ((g > 0.0) & (g < np.inf)).all():
+            raise ValueError("waterfill needs strictly positive finite gains")
+        reachable = g > _UNREACHABLE
+        if not reachable.any():
+            raise RateInfeasibleError("every gain is too small for any finite power to carry rate")
+        powers = np.zeros(g.size)
+        powers[reachable] = waterfill(g[reachable], rate_target)
+        return powers
 
     inv = 1.0 / g
     order = inv.argsort(kind="stable")

@@ -8,6 +8,7 @@ import pytest
 import slicepower.sweep
 from slicepower import (BcdOptions, ScenarioConfig, Scheme, distance_from_mean_snr, load_config,
                         run_sweep, scheme_f_u_count)
+from slicepower.channel import Geometry
 from slicepower.config import dump_config
 from slicepower.units import db_to_linear, dbm_to_watt, snr_db_to_gain
 
@@ -22,6 +23,7 @@ class TestDefaults:
         assert cfg.antenna_gain_db == 17.15 and cfg.carrier_hz == 2e9
         assert cfg.d0 == 10.0 and cfg.path_loss_exponent == 4.0
         assert cfg.cell_radius == 500.0 and cfg.noise_dbm == -108.0
+        assert cfg.geometry() == Geometry()
         assert cfg.schemes == ("noma", "oma-3", "oma-6", "oma-9")
 
     def test_empty_file_reproduces_defaults(self, tmp_path):
@@ -203,15 +205,23 @@ class TestSchemeMapping:
 class TestSampleSizeWarning:
     EXAMPLE = os.path.join(os.path.dirname(__file__), os.pardir, "example-scenario.cfg")
 
-    def _warnings(self, caplog, *args, **kwargs):
+    def _warnings(self, caplog, *args, build=load_config, **kwargs):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="slicepower.config"):
-            load_config(*args, **kwargs)
+            build(*args, **kwargs)
         return [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_default_and_example_configs_are_quiet(self, caplog):
         assert self._warnings(caplog) == []
         assert self._warnings(caplog, self.EXAMPLE) == []
+        assert self._warnings(caplog, build=ScenarioConfig) == []
+
+    def test_directly_built_and_replaced_configs_warn_once(self, caplog):
+        messages = self._warnings(caplog, build=ScenarioConfig, crn_draws=999_999)
+        assert len(messages) == 1 and "crn_draws = 999999" in messages[0]
+        messages = self._warnings(caplog, ScenarioConfig(), build=dataclasses.replace,
+                                  evidence_trials=10)
+        assert len(messages) == 1 and "evidence_trials = 10" in messages[0]
 
     def test_names_each_short_field_and_the_minimum_once(self, caplog):
         messages = self._warnings(caplog, self.EXAMPLE,

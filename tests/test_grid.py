@@ -116,7 +116,6 @@ class TestResourceSets:
             Scheme.NOMA, GRID, tuple(range(12)), 3, default_traffic(W_u=2)
         )
         assert sets.m_u == (2, 3, 4)
-        assert sets.m_e == tuple(range(7))
 
     def test_exhausted_budget_is_infeasible(self):
         traffic = default_traffic(W_u=7)

@@ -197,9 +197,15 @@ class TestPersistence:
         assert os.listdir(tmp_path) == ["table.npz"]
         assert np.array_equal(load_table(path).values, synthetic_table().values)
 
+    def test_save_creates_the_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / "table.npz"
+        save_table(synthetic_table(), path)
+        assert os.listdir(path.parent) == ["table.npz"]
+
     def test_unknown_suffix_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            save_table(synthetic_table(), tmp_path / "table.csv")
+            save_table(synthetic_table(), tmp_path / "new" / "table.csv")
+        assert os.listdir(tmp_path) == []
 
     def test_non_table_file_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestWaterfill:
         with pytest.raises(RateInfeasibleError, match="rate target 516"):
             sic_power(p_e, gains, 86.0, Scheme.NOMA)
 
+    def test_subnormal_gain_is_unreachable(self):
+        # 1/1e-310 overflows float64: the channel gets 0 and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert waterfill(np.array([1e-310, 1.0]), 1.0).tolist() == [0.0, 1.0]
+            with pytest.raises(RateInfeasibleError, match="every gain"):
+                waterfill(np.array([1e-310, 5e-324]), 1.0)
+
 
 class TestEmbbPower:
     def test_single_channel_reference(self):
@@ -136,6 +145,11 @@ class TestEmbbPower:
         assert powers[0] == 0.0 and powers[2] == 0.0
         # target still counts every offered resource
         assert rate_sum_bits(gamma[[1, 3]], powers[[1, 3]]) == pytest.approx(4.0, rel=1e-9)
+
+    def test_subnormal_gain_is_unreachable(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert embb_power(np.array([1e-310, 1.0, 0.0]), 1.0).tolist() == [0.0, 7.0, 0.0]
 
     def test_all_zero_gains_infeasible(self):
         with pytest.raises(RateInfeasibleError):
