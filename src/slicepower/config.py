@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .alloc import Algorithm, BcdOptions
 from .channel import Geometry, distance_from_mean_snr, mean_snr_from_distance
-from .grid import ResourceGrid, Scheme, TrafficSpec
+from .grid import ResourceGrid, Scheme, TrafficSpec, build_resource_sets
 from .units import db_to_linear, dbm_to_watt
 
 __all__ = ["ScenarioConfig", "scheme_f_u_count", "load_config", "dump_config"]
@@ -79,10 +79,9 @@ class ScenarioConfig:
         for name in ("drops",) + _SAMPLE_FIELDS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # the derived objects check F and M, epsilon_u, the window, the path loss
-        # and the descent's first step and stop
-        self.grid()
-        self.traffic()
+        # the derived objects check F and M, epsilon_u, the path loss and the
+        # descent's first step and stop; the resource sets place the URLLC window
+        build_resource_sets(Scheme.NOMA, self.grid(), (), self.m_u, self.traffic())
         self.geometry()
         self.bcd_options()
         for label in self.schemes:

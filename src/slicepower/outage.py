@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .grid import Scheme
-from .waterfill import substitute_zero_interference
+from .waterfill import _UNREACHABLE, substitute_zero_interference
 
 __all__ = [
     "OutageEstimate",
@@ -92,7 +92,11 @@ def mutual_info_il(p_u, p_e) -> float:
     """
     p_u = np.asarray(p_u, dtype=float)
     filled = substitute_zero_interference(p_e)
-    return float(np.log1p(p_u / filled).sum() / (_LN2 * p_u.size))
+    if filled.min() > _UNREACHABLE:
+        rates = np.log1p(p_u / filled)
+    else:  # p_u / P_e may overflow float64: subtract the logarithms instead
+        rates = np.log(filled + p_u) - np.log(filled)
+    return float(rates.sum() / (_LN2 * p_u.size))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,13 @@ _FORMAT_VERSION = 1
 _MATCH_REL_TOL = 1e-2
 
 
+# A table file holds, in order, its format name and version, this metadata (with
+# the type each loads as) and these float64 arrays; both encodings use this spec.
+_META = {"gamma_u": float, "f_count": int, "r_u": float, "m_u": int, "trials": int, "seed": int}
+_ARRAYS = ("axis_pu_dbm", "axis_pe_dbm", "values")
+_FIELDS = (*_META, *_ARRAYS)
+
+
 def default_power_axis_dbm() -> np.ndarray:
     """-30..30 dBm in 1 dB steps."""
     return np.arange(-30.0, 31.0)
@@ -73,9 +80,8 @@ class OutageTable:
     version: int = field(default=_FORMAT_VERSION, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "axis_pu_dbm", np.asarray(self.axis_pu_dbm, dtype=float))
-        object.__setattr__(self, "axis_pe_dbm", np.asarray(self.axis_pe_dbm, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        for name in _ARRAYS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.axis_pu_dbm.size == 0 or self.axis_pe_dbm.size == 0:
             raise ValueError("table axes must be non-empty")
         if np.any(np.diff(self.axis_pu_dbm) <= 0) or np.any(np.diff(self.axis_pe_dbm) <= 0):
@@ -180,19 +186,6 @@ def min_feasible_power(table: OutageTable, p_e_query_mw: float, epsilon_u: float
     return float(table.axis_pu_dbm[feasible[0]])
 
 
-def _meta_dict(table: OutageTable) -> dict:
-    return {
-        "format": _FORMAT_NAME,
-        "version": table.version,
-        "gamma_u": table.gamma_u,
-        "f_count": table.f_count,
-        "r_u": table.r_u,
-        "m_u": table.m_u,
-        "trials": table.trials,
-        "seed": table.seed,
-    }
-
-
 def save_table(table: OutageTable, path) -> None:
     """Persist as JSON (``.json``) or compact binary (``.npz``).
 
@@ -208,22 +201,15 @@ def save_table(table: OutageTable, path) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        doc = {"format": _FORMAT_NAME, "version": table.version}
+        doc.update((name, getattr(table, name)) for name in _FIELDS)
         with open(tmp, "wb") as fh:
             if path.endswith(".json"):
-                doc = _meta_dict(table)
-                doc["axis_pu_dbm"] = table.axis_pu_dbm.tolist()
-                doc["axis_pe_dbm"] = table.axis_pe_dbm.tolist()
-                doc["values"] = table.values.tolist()
-                fh.write((json.dumps(doc) + "\n").encode("utf-8"))
+                fh.write((json.dumps(doc, default=np.ndarray.tolist) + "\n").encode("utf-8"))
             else:
+                arrays = {name: doc.pop(name) for name in _ARRAYS}
                 # the open handle: a path name would get ".npz" appended
-                np.savez_compressed(
-                    fh,
-                    meta=json.dumps(_meta_dict(table)),
-                    axis_pu_dbm=table.axis_pu_dbm,
-                    axis_pe_dbm=table.axis_pe_dbm,
-                    values=table.values,
-                )
+                np.savez_compressed(fh, meta=json.dumps(doc), **arrays)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -231,34 +217,24 @@ def save_table(table: OutageTable, path) -> None:
 
 
 def load_table(path) -> OutageTable:
+    """Read a table written by :func:`save_table`; ``ValueError`` on a file
+    of another format or version, or one that lacks a field."""
     path = str(path)
     if path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        meta = doc
-        axes = doc
     elif path.endswith(".npz"):
         with np.load(path) as data:
-            meta = json.loads(str(data["meta"]))
-            axes = {
-                "axis_pu_dbm": data["axis_pu_dbm"],
-                "axis_pe_dbm": data["axis_pe_dbm"],
-                "values": data["values"],
-            }
+            doc = json.loads(str(data["meta"])) if "meta" in data else {}
+            doc.update((name, data[name]) for name in _ARRAYS if name in data)
     else:
         raise ValueError(f"unsupported table format: {path!r} (use .json or .npz)")
-    if meta.get("format") != _FORMAT_NAME:
+    if doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"{path!r} is not an outage table file")
-    if meta.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported table version {meta.get('version')!r}")
-    return OutageTable(
-        axis_pu_dbm=np.asarray(axes["axis_pu_dbm"], float),
-        axis_pe_dbm=np.asarray(axes["axis_pe_dbm"], float),
-        gamma_u=float(meta["gamma_u"]),
-        f_count=int(meta["f_count"]),
-        r_u=float(meta["r_u"]),
-        m_u=int(meta["m_u"]),
-        values=np.asarray(axes["values"], float),
-        trials=int(meta["trials"]),
-        seed=int(meta["seed"]),
-    )
+    if doc.get("version") != _FORMAT_VERSION:
+        raise ValueError(f"unsupported table version {doc.get('version')!r}")
+    missing = [name for name in _FIELDS if name not in doc]
+    if missing:
+        raise ValueError(f"table file {path!r} lacks field(s) {', '.join(missing)}")
+    return OutageTable(**{name: kind(doc[name]) for name, kind in _META.items()},
+                       **{name: doc[name] for name in _ARRAYS})

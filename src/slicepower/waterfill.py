@@ -111,11 +111,18 @@ def sic_power(p_e: np.ndarray, gamma_e: np.ndarray, r_u: float, scheme: Scheme) 
     if not (p_e >= 0.0).all():
         raise ValueError("powers must be non-negative")
     if gamma_e.size and gamma_e.min() > 0.0:
-        return waterfill(gamma_e / (1.0 + gamma_e * p_e), r_u * p_e.size)
+        return waterfill(_sic_gains(gamma_e, p_e), r_u * p_e.size)
     usable = _usable(gamma_e, "shared")
-    g, powers = gamma_e[usable], np.zeros_like(p_e)
-    powers[usable] = waterfill(g / (1.0 + g * p_e[usable]), r_u * p_e.size)
+    powers = np.zeros_like(p_e)
+    powers[usable] = waterfill(_sic_gains(gamma_e[usable], p_e[usable]), r_u * p_e.size)
     return powers
+
+
+def _sic_gains(g: np.ndarray, p_e: np.ndarray) -> np.ndarray:
+    """Effective gains ``g / (1 + g P_e)``; where ``g P_e`` passes float64
+    range the gain reads 0, which :func:`waterfill` rejects."""
+    with np.errstate(over="ignore"):
+        return g / (1.0 + g * p_e)
 
 
 def substitute_zero_interference(p_e: np.ndarray) -> np.ndarray:
@@ -146,7 +153,13 @@ def il_power(p_e: np.ndarray, r_u: float) -> np.ndarray:
     acts as a channel of gain ``1 / P_e(f)``; zero-interference resources
     take the substituted value first.  The usual exclusion applies: for
     widely spread ``P_e`` the unconstrained level would drive some
-    entries negative.
+    entries negative.  An interference power at or below
+    ``1 / finfo(float).max`` is a finite, near-perfect channel.
     """
     filled = substitute_zero_interference(p_e)
-    return waterfill(1.0 / filled, r_u * filled.size)
+    if filled.min() > _UNREACHABLE:
+        return waterfill(1.0 / filled, r_u * filled.size)
+    # 1 / P_e overflows: fill against 2**51 times the interference, which scales
+    # the level and every power by that exact factor.  2**-51 / P_e is finite and
+    # positive for every float P_e; beside a tiny one, a P_e above ~1e293 is unused
+    return waterfill(2.0**-51 / filled, r_u * filled.size) * 2.0**-51

@@ -1,8 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slicepower
@@ -84,6 +86,21 @@ class TestTableCommands:
                    "--pe", "none", "--eps", "1e-2"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_query_incomplete_table_fails_cleanly(self, tmp_path, capsys, suffix):
+        # a JSON file with only its format and version; an archive without axis_pu_dbm
+        path = tmp_path / f"t{suffix}"
+        meta = {"format": "slicepower-outage-table", "version": 1}
+        if suffix == ".json":
+            path.write_text(json.dumps(meta))
+        else:
+            meta.update(gamma_u=1.0, f_count=3, r_u=1.0, m_u=1, trials=10, seed=1)
+            np.savez_compressed(path, meta=json.dumps(meta), axis_pe_dbm=np.zeros(1),
+                                values=np.zeros((1, 1)))
+        rc = main(["table", "query", "--table", str(path), "--pe", "none", "--eps", "0.1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "axis_pu_dbm" in err
 
 
 class TestAllocate:

@@ -6,8 +6,8 @@ import os
 import pytest
 
 import slicepower.sweep
-from slicepower import (BcdOptions, ScenarioConfig, Scheme, distance_from_mean_snr, load_config,
-                        run_sweep, scheme_f_u_count)
+from slicepower import (BcdOptions, LatencyInfeasibleError, ScenarioConfig, Scheme,
+                        distance_from_mean_snr, load_config, run_sweep, scheme_f_u_count)
 from slicepower.channel import Geometry
 from slicepower.config import dump_config
 from slicepower.units import db_to_linear, dbm_to_watt, snr_db_to_gain
@@ -162,6 +162,24 @@ class TestValidation:
         for build in builds:
             with pytest.raises(ValueError, match=message):
                 build(**{field: value})
+
+    @pytest.mark.parametrize("overrides,error,message", [
+        ({"m_u": 0}, ValueError, "the URLLC window must span at least one mini-slot"),
+        ({"m_u": 8}, LatencyInfeasibleError,
+         r"window of 8 mini-slots exceeds the remaining budget 7 \(M_u_max=7, W_u=0\)"),
+        ({"m_u_max": 10}, ValueError,
+         r"latency budget M_u_max=10 exceeds the slot \(7 mini-slots\)"),
+        ({"m_u": 5, "w_u": 4}, LatencyInfeasibleError,
+         r"window of 5 mini-slots exceeds the remaining budget 3 \(M_u_max=7, W_u=4\)"),
+    ])
+    def test_unplaceable_window_rejected_at_construction(self, overrides, error, message):
+        # the error the first drop's broadband stage would raise, before any drop
+        builds = [ScenarioConfig, lambda **kw: dataclasses.replace(ScenarioConfig(), **kw),
+                  lambda **kw: load_config(None, overrides=kw)]
+        for build in builds:
+            with pytest.raises(error, match=message):
+                build(**overrides)
+        assert ScenarioConfig(m_u=3, w_u=4).traffic().max_window == 3
 
     def test_override_replaces_a_bad_file_value(self, tmp_path):
         # the file value is never checked on its own: one construction

@@ -1,8 +1,11 @@
 import dataclasses
 import errno
+import hashlib
 import importlib
+import json
 import math
 import os
+import zipfile
 from contextlib import nullcontext
 
 import numpy as np
@@ -212,6 +215,74 @@ class TestPersistence:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_table(path)
+
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    @pytest.mark.parametrize("missing", [
+        ("axis_pu_dbm",),
+        ("seed", "values"),
+        ("gamma_u", "f_count", "r_u", "m_u", "trials", "seed",
+         "axis_pu_dbm", "axis_pe_dbm", "values"),
+    ], ids=["one-array", "meta-and-array", "every-field"])
+    def test_missing_fields_named(self, tmp_path, suffix, missing):
+        path = write_partial_table(tmp_path / f"t{suffix}", missing)
+        with pytest.raises(ValueError) as info:
+            load_table(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert message.endswith(", ".join(missing))
+
+
+def write_partial_table(path, missing):
+    """A saved :func:`synthetic_table` with the ``missing`` fields taken out
+    of the file; returns ``path``."""
+    save_table(synthetic_table(), path)
+    if path.suffix == ".json":
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k not in missing}))
+    else:
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files if name not in missing}
+        meta = json.loads(str(members["meta"]))
+        members["meta"] = json.dumps({k: v for k, v in meta.items() if k not in missing})
+        np.savez_compressed(path, **members)
+    return path
+
+
+def pinned_table():
+    """3x4 table with a no-interference row, sure outages and sampled cells."""
+    return build_table(0.5, 3, 1.0, trials=200, seed=11, m_u=2,
+                       axis_pu_dbm=np.array([-3.0, 0.0, 3.0, 6.0]),
+                       axis_pe_dbm=np.array([-math.inf, 0.0, 4.0]))
+
+
+class TestFileBytes:
+    """The bytes of a saved table are the file format: any change to them
+    (field order, key names, float encoding) breaks every cached table."""
+
+    def test_fixture_has_sure_and_sampled_cells(self):
+        values = pinned_table().values
+        assert np.any(values == 1.0) and np.any((0.0 < values) & (values < 1.0))
+
+    def test_json_file_bytes(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_table(pinned_table(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "95c5c8f2fc37a7f50fe72421bffb5647f3dc5375b1583b01cc9c51ccf07bbe7c"
+        )
+
+    def test_npz_member_bytes(self, tmp_path):
+        # the members, not the archive: its compressed bytes depend on zlib
+        path = tmp_path / "t.npz"
+        save_table(pinned_table(), path)
+        with zipfile.ZipFile(path) as archive:
+            members = [(name, hashlib.sha256(archive.read(name)).hexdigest())
+                       for name in archive.namelist()]
+        assert members == [
+            ("meta.npy", "8b6589925a22dfc84546dacbefec71cf53464c75d3c8636f8a314d8ae13db2b9"),
+            ("axis_pu_dbm.npy", "68ba31ffede28505b79e7110b2491b8872222e4965f90ecd007fcacc5d31c580"),
+            ("axis_pe_dbm.npy", "72b774c2977c79c8420fd9d874db710f6bfb2009f0b401255b15824e39a47bf6"),
+            ("values.npy", "c6fd519548b2d64509c080e7f3df576ed15bfdc7b40a42e0e0eaaa9d39ace59b"),
+        ]
 
 
 class TestValidation:

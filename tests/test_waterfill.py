@@ -1,4 +1,5 @@
 import importlib
+import math
 import warnings
 
 import numpy as np
@@ -219,6 +220,19 @@ class TestSicPower:
         with pytest.raises(ValueError, match="non-negative"):
             sic_power(np.array([1.0, 1.0]), np.array([1.0, bad]), 1.0, Scheme.NOMA)
 
+    def test_floor_past_float_range_is_rejected_without_warning(self):
+        # two usable channels of 22 carry 22 x 93 bits: a broadband power near
+        # 2.8e307 whose product with gain 10 overflows; the reference's error
+        gains = np.zeros(22)
+        gains[1:3] = [1.0, 10.0]
+        p_e = embb_power(gains, 93.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly positive finite gains"):
+                sic_power(p_e, gains, 93.0, Scheme.NOMA)
+            with pytest.raises(ValueError, match="strictly positive finite gains"):
+                sic_power(p_e[1:3], gains[1:3], 93.0, Scheme.NOMA)
+
     def test_meets_sic_rate_exactly(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -262,6 +276,30 @@ class TestIlPower:
     def test_all_zero_interference_is_undefined(self):
         with pytest.raises(ZeroInterferenceError):
             il_power(np.zeros(4), 1.0)
+
+    def test_subnormal_interference_is_a_near_perfect_channel(self):
+        # 1/1e-310 overflows float64: the powers and the rate stay finite, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = il_power(np.array([1e-310, 1.0]), 1.0)
+            assert out[1] == 0.0 and out[0] == pytest.approx(3e-310, rel=1e-9)
+            assert mutual_info_il(out, [1e-310, 1.0]) == pytest.approx(1.0, rel=1e-9)
+            scaled = il_power(np.array([1e-310, 3e-310, 0.0]), 2.0)
+            assert scaled == pytest.approx(1e-310 * il_power(np.array([1.0, 3.0, 0.0]), 2.0),
+                                           rel=1e-9, abs=0.0)
+            # the smallest and the largest interference float together
+            extremes = il_power(np.array([5e-324, np.finfo(float).max]), 1.0)
+            assert extremes.tolist() == [1.5e-323, 0.0]
+            rate = mutual_info_il([1.0, 1.0], [1e-310, 1.0])
+        ln_ratio = 310.0 * math.log(10.0)  # ln(1 + 1e310), beyond float64
+        assert rate == pytest.approx((ln_ratio + math.log(2.0)) / (2.0 * math.log(2.0)), rel=1e-12)
+
+    def test_small_normal_interference_keeps_the_reciprocal_path(self):
+        # just above the cut-off, il_power is water-filling over 1 / P_e, bit for bit
+        p_e = np.array([1e-300, 1.0])
+        assert il_power(p_e, 1.0).tolist() == waterfill(1.0 / p_e, 2.0).tolist()
+        rates = np.log1p(1.0 / p_e)
+        assert mutual_info_il([1.0, 1.0], p_e) == float(rates.sum() / (2.0 * math.log(2.0)))
 
 
 class TestWaterfillLookup:
