@@ -213,7 +213,7 @@ def embb_stage(grid: ResourceGrid, traffic: TrafficSpec, gamma_e: np.ndarray, sc
 
 
 def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, seed: int,
-             table: OutageTable | None = None, bcd: BcdOptions = BcdOptions(),
+             table: OutageTable, bcd: BcdOptions = BcdOptions(),
              evidence_trials: int = 10**6) -> AllocationResult:
     """URLLC power by the chosen algorithm on top of a broadband stage, for
     the URLLC mean gain ``gamma_u`` [per mW], then an independent Monte
@@ -223,11 +223,6 @@ def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, 
     if not gamma_u > 0.0:
         raise ValueError(f"mean SNR must be positive, got {gamma_u!r}")
     sets, r_u = embb.sets, embb.r_u
-    if table is None:
-        raise SlicePowerError(
-            "an outage table is required; build one with "
-            "`slicepower table build` for this (mean SNR, F_u, r_u)"
-        )
     if not table.matches(gamma_u, sets.F_u, r_u):
         raise SlicePowerError(
             f"table mismatch: table is for (Gamma_u={table.gamma_u:g}, "

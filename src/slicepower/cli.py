@@ -27,10 +27,7 @@ __all__ = ["main"]
 
 
 def _fmt_dbm_vector(values_mw) -> str:
-    parts = []
-    for v in values_mw:
-        parts.append("-inf" if v <= 0.0 else f"{mw_to_dbm(float(v)):.6f}")
-    return "[" + ", ".join(parts) + "]"
+    return "[" + ", ".join(f"{mw_to_dbm(float(v)):.6f}" for v in values_mw) + "]"
 
 
 def _overrides(args, names) -> dict:

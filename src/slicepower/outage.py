@@ -92,9 +92,11 @@ def mutual_info_il(p_u, p_e) -> float:
     """
     p_u = np.asarray(p_u, dtype=float)
     filled = substitute_zero_interference(p_e)
-    if filled.min() > _UNREACHABLE:
-        rates = np.log1p(p_u / filled)
-    else:  # p_u / P_e may overflow float64: subtract the logarithms instead
+    with np.errstate(over="ignore"):
+        ratio = p_u / filled
+    if filled.min() > _UNREACHABLE and np.isfinite(ratio).all():
+        rates = np.log1p(ratio)
+    else:  # p_u / P_e overflows float64: subtract the logarithms instead
         rates = np.log(filled + p_u) - np.log(filled)
     return float(rates.sum() / (_LN2 * p_u.size))
 
@@ -239,17 +241,11 @@ def estimate_outage(
     ``p_u`` and ``p_e`` are per-frequency power vectors over the URLLC
     set (uniform power is just a constant vector); draws are exponential
     with mean ``gamma_u_mean``, independent per frequency, from a stream
-    derived from ``seed``.  When no draw can reach the target the exact
-    value 1 is returned without sampling; this equals what any seed would
-    estimate.
+    derived from ``seed``.
     """
     f_count = np.size(p_u)
     target_nats = _target_nats(gamma_u_mean, trials, f_count, r_u)
     p_u, p_e = _power_vectors(p_u, p_e, f_count)
-
-    if _sure_outage(p_u, p_e, target_nats):
-        return OutageEstimate(1.0, trials, 0.0)
-
     rows = _block_rows(f_count)
     rate, total, outages = np.empty((rows, f_count)), np.empty(rows), 0
     p_u, p_e = _block_factor(p_u, rows), _block_factor(p_e, rows)

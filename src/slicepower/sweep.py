@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 from dataclasses import dataclass, fields
 
@@ -98,8 +97,7 @@ def ensure_table(cfg: ScenarioConfig, gamma_u: float, f_u: int, r_u: float,
 
 
 def _mean_dbm(values_mw) -> float:
-    mean = float(np.mean(values_mw))
-    return mw_to_dbm(mean) if mean > 0.0 else -math.inf
+    return mw_to_dbm(float(np.mean(values_mw)))
 
 
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:

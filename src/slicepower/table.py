@@ -3,10 +3,10 @@
 A table fixes (mean SNR, frequency count, rate) and stores the estimated
 outage probability on a dBm grid of uniform transmit/interference power
 pairs.  ``-inf`` on the interference axis is the no-interference row.
-Every cell is produced by :func:`slicepower.outage.estimate_outage`
-under a sub-seed derived from the cell's coordinates, so any cell can be
-reproduced in isolation and cells may be computed in any order without
-changing the result.  Writes are atomic: a file at a table path is
+Every cell that is not a sure outage is produced by
+:func:`slicepower.outage.estimate_outage` under a sub-seed derived from
+the cell's coordinates, so any cell can be reproduced in isolation and
+cells may be computed in any order without changing the result.  Writes are atomic: a file at a table path is
 either the previous table or the complete new one.
 """
 
@@ -123,23 +123,25 @@ def build_table(
 ) -> OutageTable:
     """Estimate every (interference, power) cell of the grid.
 
-    Each cell is an independent :func:`estimate_outage` run under its
-    derived sub-seed, so the table is bit-reproducible whatever the
-    order in which its cells are computed.
+    Each sampled cell is an independent :func:`estimate_outage` run under
+    its derived sub-seed, so the table is bit-reproducible whatever the
+    order in which its cells are computed.  A cell where no fading draw
+    can reach the rate (every rate stays below ``log(1 + Pu/Pe)``) is a
+    sure outage: it reads 1, as any seed would estimate, without a run.
     """
     axis_pu = default_power_axis_dbm() if axis_pu_dbm is None else np.asarray(axis_pu_dbm, float)
     axis_pe = (
         default_interference_axis_dbm() if axis_pe_dbm is None else np.asarray(axis_pe_dbm, float)
     )
     target_nats = _target_nats(gamma_u, trials, f_count, r_u)
-    values = np.empty((axis_pe.size, axis_pu.size))
+    values = np.ones((axis_pe.size, axis_pu.size))  # what a sure outage reads under any seed
     for i, pe_dbm in enumerate(axis_pe):
         p_e = np.full(f_count, dbm_to_mw(pe_dbm))
         for j, pu_dbm in enumerate(axis_pu):
             p_u = np.full(f_count, dbm_to_mw(pu_dbm))
-            sure = _sure_outage(p_u, p_e, target_nats)  # then 1 under any seed
-            cell = 0 if sure else int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
-            values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
+            if not _sure_outage(p_u, p_e, target_nats):
+                cell = int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
+                values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
     return OutageTable(
         axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
         r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,
@@ -226,10 +228,11 @@ def load_table(path) -> OutageTable:
     elif path.endswith(".npz"):
         with np.load(path) as data:
             doc = json.loads(str(data["meta"])) if "meta" in data else {}
-            doc.update((name, data[name]) for name in _ARRAYS if name in data)
+            if isinstance(doc, dict):
+                doc.update((name, data[name]) for name in _ARRAYS if name in data)
     else:
         raise ValueError(f"unsupported table format: {path!r} (use .json or .npz)")
-    if doc.get("format") != _FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise ValueError(f"{path!r} is not an outage table file")
     if doc.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported table version {doc.get('version')!r}")

@@ -28,8 +28,6 @@ def linear_to_db(value: float) -> float:
 
 def dbm_to_mw(power_dbm: float) -> float:
     """dBm -> linear mW.  ``-inf`` maps to exactly 0 mW."""
-    if power_dbm == -math.inf:
-        return 0.0
     return 10.0 ** (power_dbm / 10.0)
 
 

@@ -184,10 +184,6 @@ class TestDescentAllocator:
 
 
 class TestValidation:
-    def test_missing_table_names_build_command(self):
-        with pytest.raises(SlicePowerError, match="table build"):
-            allocate(stage(0), GAMMA_U, "fea", EPS, seed=1)
-
     def test_mismatched_table_rejected(self, oma3_table):
         with pytest.raises(SlicePowerError, match="mismatch"):
             allocate(stage(0), GAMMA_U, "fea", EPS, seed=1, table=oma3_table)

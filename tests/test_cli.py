@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -102,6 +103,18 @@ class TestTableCommands:
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:") and "axis_pu_dbm" in err
 
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_query_non_mapping_file_fails_cleanly(self, tmp_path, capsys, suffix):
+        # a JSON document, or an archive's meta member, that is a list
+        path = tmp_path / f"list{suffix}"
+        if suffix == ".json":
+            path.write_text("[1, 2]")
+        else:
+            np.savez_compressed(path, meta=json.dumps([1, 2]), values=np.zeros((1, 1)))
+        rc = main(["table", "query", "--table", str(path), "--pe", "none", "--eps", "0.1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "not an outage table file" in err
+
 
 class TestAllocate:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -129,6 +142,21 @@ class TestAllocate:
         r_u = spectral_efficiency(loaded.n_u, loaded.grid(), loaded.f_count, loaded.m_u)
         assert table_build_command(loaded.mean_gain(100.0), loaded.f_count, r_u,
                                    loaded.table_trials, 7, "table.npz") in err
+
+    def test_oma_zero_powers_print_as_minus_inf(self, tmp_path, capsys):
+        # OMA: no cancellation floor anywhere, and no broadband power on the URLLC set
+        cfg = write_fast_config(tmp_path)
+        rc = main(["allocate", "--scheme", "oma-3", "--algo", "fea", "--du", "100",
+                   "--de", "146.9", "--seed", "7", "--config", str(cfg), "--auto-table"])
+        assert rc == 0
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                     if line.startswith(("f_u=", "p_e_dbm=", "p_sic_dbm=")))
+        f_u = json.loads(lines["f_u"].partition(" f_e=")[0])
+        p_e = lines["p_e_dbm"].strip("[]").split(", ")
+        p_sic = lines["p_sic_dbm"].strip("[]").split(", ")
+        assert len(p_sic) == len(p_e) == 12 and p_sic == ["-inf"] * 12
+        assert [f for f, v in enumerate(p_e) if v == "-inf"] == f_u
+        assert all(float(p_e[f]) > -math.inf for f in range(12) if f not in f_u)
 
     def test_config_sets_evidence_trials(self, tmp_path, capsys):
         path = write_fast_config(tmp_path)

@@ -1,5 +1,6 @@
 """The package imports only the standard library and its declared
-dependencies (numpy, and pytest for ``slicepower verify``)."""
+dependencies (numpy, and pytest for ``slicepower verify``), and every
+module reads what it imports."""
 
 import ast
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "slicepower"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "pytest"}
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _top_level_imports(path: Path) -> set:
@@ -21,6 +23,37 @@ def _top_level_imports(path: Path) -> set:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def _unread_imports(tree: ast.Module) -> set:
+    """Names bound by the module-level imports of ``tree`` that the module
+    neither reads nor lists in ``__all__``."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return bound - read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_declared_dependencies(path):
     assert _top_level_imports(path) - ALLOWED == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # __init__.py is exempt: it imports only to re-export
+    assert _unread_imports(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("import math\nimport os.path\nfrom . import a as b, c\n"
+                     "__all__ = ['c']\nos.sep\n")
+    assert _unread_imports(tree) == {"math", "b"}

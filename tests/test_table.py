@@ -216,6 +216,19 @@ class TestPersistence:
         with pytest.raises(ValueError):
             load_table(path)
 
+    @pytest.mark.parametrize("document", [[1, 2], "text", 3, None], ids=repr)
+    @pytest.mark.parametrize("suffix", [".json", ".npz"])
+    def test_non_mapping_document_rejected(self, tmp_path, suffix, document):
+        # the JSON document, or the archive's meta member, is not an object
+        path = tmp_path / f"other{suffix}"
+        if suffix == ".json":
+            path.write_text(json.dumps(document))
+        else:
+            arrays = {name: getattr(synthetic_table(), name) for name in table_module._ARRAYS}
+            np.savez_compressed(path, meta=json.dumps(document), **arrays)
+        with pytest.raises(ValueError, match="is not an outage table file"):
+            load_table(path)
+
     @pytest.mark.parametrize("suffix", [".json", ".npz"])
     @pytest.mark.parametrize("missing", [
         ("axis_pu_dbm",),

@@ -294,6 +294,22 @@ class TestIlPower:
         ln_ratio = 310.0 * math.log(10.0)  # ln(1 + 1e310), beyond float64
         assert rate == pytest.approx((ln_ratio + math.log(2.0)) / (2.0 * math.log(2.0)), rel=1e-12)
 
+    def test_huge_power_ratio_at_normal_interference(self):
+        # 1e300 / 1e-10 overflows float64 although the rate, ln(1e310)/ln 2, is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate = mutual_info_il([1e300], [1e-10])
+            mixed = mutual_info_il([1e300, 1.0], [1e-10, 1.0])
+        assert rate == pytest.approx(310.0 * math.log2(10.0), rel=1e-12)
+        assert mixed == pytest.approx((rate + 1.0) / 2.0, rel=1e-12)
+
+    def test_finite_ratios_take_log1p_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        powers = rng.uniform(0.1, 5.0, (2, 50, 6)) * 10.0 ** rng.uniform(-8.0, 8.0, (2, 50, 6))
+        for p_u, p_e in zip(*powers):
+            expected = float(np.log1p(p_u / p_e).sum() / (math.log(2.0) * 6))
+            assert mutual_info_il(p_u, p_e) == expected
+
     def test_small_normal_interference_keeps_the_reciprocal_path(self):
         # just above the cut-off, il_power is water-filling over 1 / P_e, bit for bit
         p_e = np.array([1e-300, 1.0])
