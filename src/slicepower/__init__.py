@@ -26,8 +26,6 @@ from .outage import (
     OutageEstimate,
     estimate_outage,
     mutual_info_e,
-    mutual_info_il,
-    mutual_info_sic,
     mutual_info_u,
     single_freq_power,
 )
@@ -39,6 +37,6 @@ from .table import (
     min_feasible_power,
     save_table,
 )
-from .waterfill import embb_power, il_power, sic_power, waterfill
+from .waterfill import embb_power, il_power, mutual_info_il, sic_power, waterfill
 
 __version__ = "0.1.0"

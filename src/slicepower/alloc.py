@@ -28,7 +28,7 @@ from .grid import (
     select_urllc_frequencies,
     spectral_efficiency,
 )
-from .outage import CommonRandomOutage, OutageEstimate, estimate_outage, mutual_info_sic
+from .outage import CommonRandomOutage, OutageEstimate, estimate_outage, mutual_info_u
 from .table import OutageTable, min_feasible_power
 from .units import dbm_to_mw
 from .waterfill import embb_power, sic_power
@@ -247,11 +247,9 @@ def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, 
     p_u = _as_full(p_u_on_fu, fu, sets.grid.F)
     evidence_seed = int(rngmod.derive_seed_sequence(seed, "evidence").generate_state(1)[0])
     p_u_hat = estimate_outage(p_u_on_fu, p_e_on_fu, gamma_u, r_u, evidence_trials, evidence_seed)
-    if sets.scheme is Scheme.NOMA:
-        sic_rate = mutual_info_sic(p_u_on_fu, p_e_on_fu, embb.gamma_e[fu], sets.scheme)
-        sic_ok = sic_rate >= r_u * (1.0 - _SIC_REL_TOL)
-    else:
-        sic_ok = bool(np.all(p_u * embb.p_e == 0.0))
+    # under OMA nothing is superposed, so the broadband receiver has nothing to cancel
+    sic_ok = sets.scheme is Scheme.OMA or mutual_info_u(
+        p_u_on_fu, p_e_on_fu, embb.gamma_e[fu]) >= r_u * (1.0 - _SIC_REL_TOL)
 
     return AllocationResult(embb=embb, p_u=p_u, p_u_hat=p_u_hat, sic_satisfied=sic_ok,
                             algorithm=algorithm, iterations=iterations)

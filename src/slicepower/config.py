@@ -84,6 +84,9 @@ class ScenarioConfig:
         build_resource_sets(Scheme.NOMA, self.grid(), (), self.m_u, self.traffic())
         self.geometry()
         self.bcd_options()
+        for name in (f.name for f in fields(self) if type(f.default) is float):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for label in self.schemes:
             scheme_f_u_count(label, self.f_count)
         for algo in self.algorithms:

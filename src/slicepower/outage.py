@@ -5,7 +5,8 @@ its per-resource mutual information is ``log2(1 + g Pu / (1 + g Pe))``.
 Outage is the event that the sum over the assigned resources falls at or
 below ``F_u * r_u``.  Fading is quasi-static: mini-slots repeat the same
 draw, so rates fold the window length and a single draw per frequency
-suffices.
+suffices.  The cancellation verdict is decided in :func:`alloc.allocate`
+and the interference-limited rate sits beside ``il_power`` in ``waterfill``.
 """
 
 from __future__ import annotations
@@ -16,15 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .grid import Scheme
-from .waterfill import _UNREACHABLE, substitute_zero_interference
 
 __all__ = [
     "OutageEstimate",
     "mutual_info_u",
-    "mutual_info_sic",
     "mutual_info_e",
-    "mutual_info_il",
     "estimate_outage",
     "single_freq_power",
     "CommonRandomOutage",
@@ -66,39 +63,11 @@ def mutual_info_u(p_u, p_e, gamma_u) -> float:
     return float(rate.sum() / (_LN2 * p_u.size))
 
 
-def mutual_info_sic(p_u, p_e, gamma_e, scheme: Scheme) -> float:
-    """Rate of the URLLC stream as seen by the broadband receiver.
-
-    This is what the interference-cancellation step must decode; it is
-    identically zero under OMA where no cancellation happens.
-    """
-    if Scheme(scheme) is Scheme.OMA:
-        return 0.0
-    return mutual_info_u(p_u, p_e, gamma_e)
-
-
 def mutual_info_e(p_e, gamma_e) -> float:
     """Rate of the broadband stream after interference cancellation."""
     p_e = np.asarray(p_e, dtype=float)
     gamma_e = np.asarray(gamma_e, dtype=float)
     return float(np.log1p(gamma_e * p_e).sum() / (_LN2 * p_e.size))
-
-
-def mutual_info_il(p_u, p_e) -> float:
-    """Interference-limited lower-bound rate of the URLLC stream.
-
-    Noise is dropped and zero-interference entries take the smallest
-    positive broadband power before the ratio is formed.
-    """
-    p_u = np.asarray(p_u, dtype=float)
-    filled = substitute_zero_interference(p_e)
-    with np.errstate(over="ignore"):
-        ratio = p_u / filled
-    if filled.min() > _UNREACHABLE and np.isfinite(ratio).all():
-        rates = np.log1p(ratio)
-    else:  # p_u / P_e overflows float64: subtract the logarithms instead
-        rates = np.log(filled + p_u) - np.log(filled)
-    return float(rates.sum() / (_LN2 * p_u.size))
 
 
 @dataclass(frozen=True)

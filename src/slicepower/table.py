@@ -82,15 +82,14 @@ class OutageTable:
     def __post_init__(self):
         for name in _ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.axis_pu_dbm.size == 0 or self.axis_pe_dbm.size == 0:
-            raise ValueError("table axes must be non-empty")
-        if np.any(np.diff(self.axis_pu_dbm) <= 0) or np.any(np.diff(self.axis_pe_dbm) <= 0):
-            raise ValueError("table axes must be strictly increasing")
+        for axis in (self.axis_pu_dbm, self.axis_pe_dbm):
+            if axis.size == 0 or np.isnan(axis).any() or not (np.diff(axis) > 0.0).all():
+                raise ValueError("table axes must be non-empty, free of NaN and strictly increasing")
         if not np.all(np.isfinite(self.axis_pu_dbm)):
             raise ValueError("transmit-power axis must be finite")
         if self.values.shape != (self.axis_pe_dbm.size, self.axis_pu_dbm.size):
             raise ValueError("values shape does not match the axes")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not ((self.values >= 0.0) & (self.values <= 1.0)).all():  # NaN fails
             raise ValueError("probabilities must lie in [0, 1]")
 
     def matches(self, gamma_u: float, f_count: int, r_u: float) -> bool:
@@ -151,7 +150,7 @@ def build_table(
 def interference_row(axis_pe_dbm: np.ndarray, p_e_query_mw: float) -> int:
     """Index on an interference axis that covers the query, rounding the
     interference up; :class:`TableExhaustedError` when none does."""
-    if p_e_query_mw < 0.0:
+    if not p_e_query_mw >= 0.0:  # NaN fails
         raise ValueError("interference power must be non-negative")
     if p_e_query_mw == 0.0:
         if not np.isneginf(axis_pe_dbm[0]):

@@ -1,4 +1,4 @@
-"""Water-filling over parallel channels and its three closed-form uses.
+"""Water-filling, its three closed-form uses and the interference-limited rate.
 
 All solvers minimize total power subject to a sum-rate constraint
 ``sum_f log2(1 + g(f) P(f)) >= rate_target`` and share one structure:
@@ -12,13 +12,16 @@ domain so widely spread gains cannot overflow the products.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import RateInfeasibleError, ZeroInterferenceError
 from .grid import Scheme
 
-__all__ = ["waterfill", "embb_power", "sic_power", "il_power"]
+__all__ = ["waterfill", "embb_power", "sic_power", "il_power", "mutual_info_il"]
 
+_LN2 = math.log(2.0)
 # a gain at or below this has no inverse below float64's largest value
 _UNREACHABLE = 1.0 / np.finfo(float).max
 
@@ -163,3 +166,20 @@ def il_power(p_e: np.ndarray, r_u: float) -> np.ndarray:
     # the level and every power by that exact factor.  2**-51 / P_e is finite and
     # positive for every float P_e; beside a tiny one, a P_e above ~1e293 is unused
     return waterfill(2.0**-51 / filled, r_u * filled.size) * 2.0**-51
+
+
+def mutual_info_il(p_u, p_e) -> float:
+    """Interference-limited lower-bound rate of the URLLC stream.
+
+    Noise is dropped and zero-interference entries take the smallest
+    positive broadband power before the ratio is formed.
+    """
+    p_u = np.asarray(p_u, dtype=float)
+    filled = substitute_zero_interference(p_e)
+    with np.errstate(over="ignore"):
+        ratio = p_u / filled
+    if filled.min() > _UNREACHABLE and np.isfinite(ratio).all():
+        rates = np.log1p(ratio)
+    else:  # p_u / P_e overflows float64: subtract the logarithms instead
+        rates = np.log(filled + p_u) - np.log(filled)
+    return float(rates.sum() / (_LN2 * p_u.size))

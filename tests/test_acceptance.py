@@ -54,7 +54,7 @@ from slicepower import (
     min_feasible_power,
     mutual_info_e,
     mutual_info_il,
-    mutual_info_sic,
+    mutual_info_u,
     scheme_f_u_count,
     sic_power,
     single_freq_power,
@@ -129,7 +129,7 @@ class TestC02WaterfillingOracle:
             powers = sic_power(p_e, gamma, r_u, Scheme.NOMA)
             effective = gamma / (1.0 + gamma * p_e)
             self._check(effective, f * r_u, powers,
-                        mutual_info_sic(powers, p_e, gamma, Scheme.NOMA) * f)
+                        mutual_info_u(powers, p_e, gamma) * f)
             checked += 1
         for _ in range(60):  # interference-limited form
             f = int(rng.integers(1, 4))
@@ -315,8 +315,7 @@ class TestC08DominanceAndFeasibility:
             assert bcd.p_u_hat.p_hat <= eps + bcd.p_u_hat.ci_halfwidth
             fu = list(bcd.embb.sets.f_u)
             for res in (fea, bcd):
-                sic_rate = mutual_info_sic(res.p_u[fu], res.embb.p_e[fu],
-                                           embb.gamma_e[fu], Scheme.NOMA)
+                sic_rate = mutual_info_u(res.p_u[fu], res.embb.p_e[fu], embb.gamma_e[fu])
                 worst_sic_gap = max(worst_sic_gap, res.embb.r_u - sic_rate)
                 assert sic_rate >= res.embb.r_u * (1.0 - 1e-9)
         report("C8 dominance and feasibility", dominance_violations == 0,

@@ -16,7 +16,7 @@ from slicepower import (
     embb_stage,
     min_feasible_power,
     mutual_info_e,
-    mutual_info_sic,
+    mutual_info_u,
     single_freq_power,
 )
 from slicepower.alloc import BcdOptions, descend_urllc_power, feasible_urllc_power
@@ -122,8 +122,8 @@ class TestDescentAllocator:
             assert np.all(bcd.p_u[fu] >= bcd.embb.p_u_sic[fu] - 1e-15)
             assert bcd.p_u_hat.p_hat <= EPS + bcd.p_u_hat.ci_halfwidth
             assert bcd.sic_satisfied
-            assert mutual_info_sic(bcd.p_u[fu], bcd.embb.p_e[fu], gains(drop)[fu],
-                                   Scheme.NOMA) >= bcd.embb.r_u * (1 - 1e-9)
+            assert mutual_info_u(bcd.p_u[fu], bcd.embb.p_e[fu],
+                                 gains(drop)[fu]) >= bcd.embb.r_u * (1 - 1e-9)
 
     def test_fully_pinned_start_is_returned_unchanged(self):
         crn = CommonRandomOutage(GAMMA_U, 4, 1.0, draws=1000, seed=50)

@@ -116,6 +116,33 @@ class TestTableCommands:
         assert rc == 1 and err.startswith("error:") and "not an outage table file" in err
 
 
+    @pytest.mark.parametrize("field", ["values", "axis_pe_dbm"])
+    def test_query_table_holding_nan_fails_cleanly(self, tmp_path, capsys, field):
+        path = tmp_path / "t.json"
+        main(["table", "build", "--gamma-u-db", "50", "--f-u", "3", "--r-u", "4",
+              "--trials", "100", "--seed", "5", "--no-interference-only", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        if field == "values":
+            doc["values"][0][0] = math.nan
+        else:  # a second interference row, at NaN dBm
+            doc["axis_pe_dbm"].append(math.nan)
+            doc["values"].append(doc["values"][0])
+        path.write_text(json.dumps(doc))  # NaN is written as the bare token NaN
+        capsys.readouterr()
+        rc = main(["table", "query", "--table", str(path), "--pe", "none", "--eps", "0.1"])
+        assert rc == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_query_nan_interference_is_a_bad_input(self, tmp_path, capsys):
+        # not a table too small for the query: extending the axis would not help
+        path = tmp_path / "t.json"
+        main(["table", "build", "--gamma-u-db", "50", "--f-u", "3", "--r-u", "4",
+              "--trials", "100", "--seed", "5", "--no-interference-only", "--out", str(path)])
+        capsys.readouterr()
+        rc = main(["table", "query", "--table", str(path), "--pe", "nan", "--eps", "0.1"])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "extend" not in err
+
+
 class TestAllocate:
     def test_deterministic_output(self, tmp_path, capsys):
         cfg = write_fast_config(tmp_path)

@@ -163,6 +163,17 @@ class TestValidation:
             with pytest.raises(ValueError, match=message):
                 build(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["n_e", "n_u", "delta_f", "slot_duration", "antenna_gain_db",
+                                       "carrier_hz", "path_loss_exponent", "noise_dbm"])
+    def test_non_finite_scalar_is_named(self, field, value, tmp_path):
+        # each used to construct and fail at the first drop with a message naming no field
+        path = tmp_path / "scenario.cfg"
+        path.write_text(f"{field} = {value}\n", encoding="utf-8")
+        for build in (lambda: ScenarioConfig(**{field: value}), lambda: load_config(path)):
+            with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+                build()
+
     @pytest.mark.parametrize("overrides,error,message", [
         ({"m_u": 0}, ValueError, "the URLLC window must span at least one mini-slot"),
         ({"m_u": 8}, LatencyInfeasibleError,

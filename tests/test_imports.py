@@ -1,6 +1,6 @@
 """The package imports only the standard library and its declared
-dependencies (numpy, and pytest for ``slicepower verify``), and every
-module reads what it imports."""
+dependencies (numpy, and pytest for ``slicepower verify``), every module
+reads what it imports, and ``outage`` stands on the seed streams alone."""
 
 import ast
 import sys
@@ -20,6 +20,15 @@ def _top_level_imports(path: Path) -> set:
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.add(node.module.split(".")[0])
+    return names
+
+
+def _sibling_imports(path: Path) -> set:
+    """Modules of the package that ``path`` imports relatively."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (a.name for a in node.names))
     return names
 
 
@@ -57,3 +66,13 @@ def test_an_unread_import_is_found():
     tree = ast.parse("import math\nimport os.path\nfrom . import a as b, c\n"
                      "__all__ = ['c']\nos.sep\n")
     assert _unread_imports(tree) == {"math", "b"}
+
+
+def test_outage_imports_only_rng():
+    # the cancellation verdict is alloc's, the interference-limited rate waterfill's
+    assert _sibling_imports(SRC / "outage.py") == {"rng"}
+
+
+def test_sibling_imports_are_found():
+    path = SRC / "alloc.py"
+    assert {"rng", "grid", "outage", "table", "waterfill"} <= _sibling_imports(path)

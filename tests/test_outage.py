@@ -13,7 +13,6 @@ from slicepower import (
     il_power,
     mutual_info_e,
     mutual_info_il,
-    mutual_info_sic,
     mutual_info_u,
     single_freq_power,
 )
@@ -42,12 +41,6 @@ class TestMutualInformation:
         # interference ratio 1 per resource as the SNR grows
         rate = mutual_info_u([5.0], [5.0], [1e12])
         assert rate == pytest.approx(1.0, rel=1e-9)
-
-    def test_sic_rate_is_zero_under_oma(self):
-        assert mutual_info_sic([3.0], [0.0], [1.0], Scheme.OMA) == 0.0
-
-    def test_sic_rate_zero_power(self):
-        assert mutual_info_sic([0.0], [1.0], [1.0], Scheme.NOMA) == 0.0
 
     def test_embb_rate_example(self):
         assert mutual_info_e([1.0, 3.0], [1.0, 1.0]) == pytest.approx(1.5)

@@ -323,3 +323,28 @@ class TestValidation:
             OutageTable(axis_pu_dbm=np.array([0.0, 1.0]), axis_pe_dbm=np.array([0.0]),
                         gamma_u=1.0, f_count=4, r_u=0.5, m_u=1,
                         values=np.array([[0.5, 1.5]]), trials=10, seed=0)
+
+    @pytest.mark.parametrize("axis_pe, values", [
+        ([0.0], [[math.nan, 0.5]]),
+        ([math.nan], [[0.5, 0.5]]),
+        ([-math.inf, math.nan, 10.0], np.full((3, 2), 0.5)),
+    ])
+    def test_nan_rejected(self, axis_pe, values):
+        with pytest.raises(ValueError):
+            OutageTable(axis_pu_dbm=np.array([0.0, 1.0]), axis_pe_dbm=np.array(axis_pe),
+                        gamma_u=1.0, f_count=4, r_u=0.5, m_u=1,
+                        values=np.array(values), trials=10, seed=0)
+
+
+@pytest.mark.parametrize("field", ["values", "axis_pe_dbm"])
+def test_json_file_with_nan_is_rejected(tmp_path, field):
+    path = tmp_path / "t.json"
+    save_table(synthetic_table(), str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if field == "values":
+        doc["values"][1][2] = math.nan
+    else:
+        doc["axis_pe_dbm"][1] = math.nan
+    path.write_text(json.dumps(doc), encoding="utf-8")  # NaN is written as the bare token NaN
+    with pytest.raises(ValueError):
+        load_table(str(path))
