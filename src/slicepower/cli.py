@@ -1,8 +1,8 @@
-"""Command-line front end: table building/queries, one-shot allocation,
-sweeps and the verification suites.
+"""Command-line front end: table building/queries, one-shot allocation
+and sweeps.
 
 Every run takes an explicit ``--seed``; two invocations with the same
-arguments produce byte-identical output.
+arguments write byte-identical stdout (stderr's log lines are timestamped).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -112,23 +111,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    import pytest
-
-    tests_dir = os.path.join(os.getcwd(), "tests")
-    if not os.path.isdir(tests_dir):
-        print(f"error: no tests/ directory under {os.getcwd()}; "
-              "run from the repository root", file=sys.stderr)
-        return 2
-    target = tests_dir
-    if args.suite != "all":
-        target = os.path.join(tests_dir, f"test_{args.suite}.py")
-        if not os.path.isfile(target):
-            print(f"error: no test suite {target}", file=sys.stderr)
-            return 2
-    return pytest.main(["-q", target])
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicepower",
@@ -183,16 +165,12 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--drops", type=int, default=None)
     swp.add_argument("--auto-build-tables", action="store_true", default=None)
     swp.set_defaults(func=_cmd_sweep)
-
-    ver = sub.add_parser("verify", help="run a test suite")
-    ver.add_argument("--suite", default="all",
-                     help="'all', or <name> to run tests/test_<name>.py")
-    ver.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO,
+                        format="%(asctime)s %(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -150,8 +150,8 @@ def build_table(
 def interference_row(axis_pe_dbm: np.ndarray, p_e_query_mw: float) -> int:
     """Index on an interference axis that covers the query, rounding the
     interference up; :class:`TableExhaustedError` when none does."""
-    if not p_e_query_mw >= 0.0:  # NaN fails
-        raise ValueError("interference power must be non-negative")
+    if not 0.0 <= p_e_query_mw < math.inf:  # NaN fails
+        raise ValueError("interference power must be non-negative and finite")
     if p_e_query_mw == 0.0:
         if not np.isneginf(axis_pe_dbm[0]):
             raise TableExhaustedError(

@@ -14,8 +14,6 @@ from slicepower.config import load_config
 from slicepower.grid import spectral_efficiency
 from slicepower.sweep import table_build_command
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def child_env():
     """Environment in which a child ``python -m slicepower.cli`` imports the
@@ -132,13 +130,14 @@ class TestTableCommands:
         rc = main(["table", "query", "--table", str(path), "--pe", "none", "--eps", "0.1"])
         assert rc == 1 and capsys.readouterr().err.startswith("error:")
 
-    def test_query_nan_interference_is_a_bad_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("pe", ["nan", "inf"])
+    def test_query_nan_interference_is_a_bad_input(self, tmp_path, capsys, pe):
         # not a table too small for the query: extending the axis would not help
         path = tmp_path / "t.json"
         main(["table", "build", "--gamma-u-db", "50", "--f-u", "3", "--r-u", "4",
               "--trials", "100", "--seed", "5", "--no-interference-only", "--out", str(path)])
         capsys.readouterr()
-        rc = main(["table", "query", "--table", str(path), "--pe", "nan", "--eps", "0.1"])
+        rc = main(["table", "query", "--table", str(path), "--pe", pe, "--eps", "0.1"])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("error:") and "extend" not in err
 
@@ -221,35 +220,20 @@ class TestUsage:
         assert main(["allocate", "--scheme", "noma"]) != 0
 
 
-class TestVerify:
-    def test_unknown_suite_exits_before_pytest(self, monkeypatch, capsys):
-        monkeypatch.chdir(REPO_ROOT)
-        monkeypatch.setattr(pytest, "main", lambda args: pytest.fail("pytest started"))
-        assert main(["verify", "--suite", "nosuch"]) == 2
-        assert os.path.join("tests", "test_nosuch.py") in capsys.readouterr().err
-
-    def test_any_test_file_is_a_suite(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        calls = []
-        monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
-        assert main(["verify", "--suite", "figure_scale"]) == 0
-        assert calls == [["-q", str(REPO_ROOT / "tests" / "test_figure_scale.py")]]
-
-    def test_suite_runs_green(self, tmp_path):
-        # run in a subprocess so the nested pytest session cannot disturb
-        # the current one
-        proc = subprocess.run(
-            [sys.executable, "-m", "slicepower.cli", "verify", "--suite", "grid"],
-            capture_output=True, text=True, cwd=REPO_ROOT, env=child_env(),
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_outside_repo_fails_cleanly(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "slicepower.cli", "verify", "--suite", "grid"],
-            capture_output=True, text=True, cwd=tmp_path, env=child_env(),
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "tests/" in proc.stderr
+class TestChildProcess:
+    def test_module_runs_outside_repo(self, tmp_path, monkeypatch, capsys):
+        # the child imports the package under test from any working directory
+        commands = [
+            ["table", "build", "--gamma-u-db", "50", "--f-u", "3", "--r-u", "4",
+             "--trials", "100", "--seed", "5", "--no-interference-only", "--out", "t.json"],
+            ["table", "query", "--table", "t.json", "--pe", "none", "--eps", "0.1"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "slicepower.cli", *argv],
+                capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert main(argv) == 0
+            assert proc.stdout == capsys.readouterr().out

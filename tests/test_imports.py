@@ -1,15 +1,22 @@
-"""The package imports only the standard library and its declared
-dependencies (numpy, and pytest for ``slicepower verify``), every module
-reads what it imports, and ``outage`` stands on the seed streams alone."""
+"""The package imports only the standard library and the runtime
+dependencies ``pyproject.toml`` declares, every module reads what it
+imports, and ``outage`` stands on the seed streams alone."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "slicepower"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "pytest"}
+tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "slicepower"
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+# each requirement's distribution name: "numpy" from "numpy>=1.24"
+DECLARED = {re.match(r"[\w.-]+", req)[0] for req in PYPROJECT["project"]["dependencies"]}
+ALLOWED = set(sys.stdlib_module_names) | DECLARED
 MODULES = sorted(SRC.glob("*.py"))
 
 

@@ -146,6 +146,12 @@ class TestQuery:
         with pytest.raises(TableExhaustedError):
             min_feasible_power(synthetic_table(), 10.0, 0.1)
 
+    @pytest.mark.parametrize("p_e", [math.nan, math.inf])
+    def test_non_finite_interference_is_a_bad_input(self, p_e):
+        # a ValueError, not TableExhaustedError: no axis covers it
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            min_feasible_power(synthetic_table(), p_e, 0.5)
+
     def test_missing_sentinel_row(self):
         table = synthetic_table()
         trimmed = OutageTable(
