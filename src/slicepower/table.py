@@ -13,8 +13,11 @@ either the previous table or the complete new one.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,8 @@ __all__ = [
 _FORMAT_NAME = "slicepower-outage-table"
 _FORMAT_VERSION = 1
 _MATCH_REL_TOL = 1e-2
+
+log = logging.getLogger(__name__)
 
 
 # A table file holds, in order, its format name and version, this metadata (with
@@ -110,6 +115,13 @@ def cell_seed(base_seed: int, pu_dbm: float, pe_dbm: float) -> np.random.SeedSeq
     return rngmod.derive_seed_sequence(base_seed, "table-cell", float(pu_dbm), float(pe_dbm))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_table(
     gamma_u: float,
     f_count: int,
@@ -127,20 +139,56 @@ def build_table(
     order in which its cells are computed.  A cell where no fading draw
     can reach the rate (every rate stays below ``log(1 + Pu/Pe)``) is a
     sure outage: it reads 1, as any seed would estimate, without a run.
+
+    The cells are shared out, interleaved, among one thread per available
+    CPU, the caller's included (numpy releases the GIL while it draws and
+    sums); the values are the same bits for any thread count.  The first
+    error in any cell, or an interrupt of the caller, stops every thread
+    at its next cell, and the error is raised here.
     """
+    start = time.perf_counter()
     axis_pu = default_power_axis_dbm() if axis_pu_dbm is None else np.asarray(axis_pu_dbm, float)
     axis_pe = (
         default_interference_axis_dbm() if axis_pe_dbm is None else np.asarray(axis_pe_dbm, float)
     )
     target_nats = _target_nats(gamma_u, trials, f_count, r_u)
     values = np.ones((axis_pe.size, axis_pu.size))  # what a sure outage reads under any seed
-    for i, pe_dbm in enumerate(axis_pe):
-        p_e = np.full(f_count, dbm_to_mw(pe_dbm))
-        for j, pu_dbm in enumerate(axis_pu):
-            p_u = np.full(f_count, dbm_to_mw(pu_dbm))
-            if not _sure_outage(p_u, p_e, target_nats):
-                cell = int(cell_seed(seed, pu_dbm, pe_dbm).generate_state(1)[0])
-                values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
+    cells = list(np.ndindex(values.shape))
+    threads = max(1, min(_available_cpus(), len(cells)))
+    sampled, errors, stop = [0] * threads, [], threading.Event()
+
+    def work(k: int) -> None:
+        try:
+            for i, j in cells[k::threads]:
+                if stop.is_set():
+                    return
+                p_u = np.full(f_count, dbm_to_mw(axis_pu[j]))
+                p_e = np.full(f_count, dbm_to_mw(axis_pe[i]))
+                if not _sure_outage(p_u, p_e, target_nats):
+                    cell = int(cell_seed(seed, axis_pu[j], axis_pe[i]).generate_state(1)[0])
+                    values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
+                    sampled[k] += 1
+        except BaseException as exc:  # re-raised below once every thread has stopped
+            errors.append(exc)
+            stop.set()
+
+    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, threads)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)  # the caller's own share
+        for helper in helpers:
+            helper.join()
+    except BaseException:  # an interrupt while joining
+        stop.set()
+        for helper in helpers:
+            helper.join()
+        raise
+    if errors:
+        raise errors[0]
+    log.info("built outage table: %d cells, %d sure outages, %d sampled, %d threads, %.2f s",
+             len(cells), len(cells) - sum(sampled), sum(sampled), threads,
+             time.perf_counter() - start)
     return OutageTable(
         axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
         r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,

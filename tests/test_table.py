@@ -3,8 +3,13 @@ import errno
 import hashlib
 import importlib
 import json
+import logging
 import math
 import os
+import signal
+import sys
+import threading
+import time
 import zipfile
 from contextlib import nullcontext
 
@@ -77,7 +82,8 @@ class TestBuild:
                             axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe)
         sampled = [(pu, pe) for pe in axis_pe for pu in axis_pu
                    if pe == -math.inf or math.log1p(dbm_to_mw(pu) / dbm_to_mw(pe)) > math.log(2.0)]
-        assert seeded == sampled and 0 < len(sampled) < axis_pu.size * axis_pe.size
+        # threads seed their cells in any order: the set is the property
+        assert sorted(seeded) == sorted(sampled) and 0 < len(sampled) < axis_pu.size * axis_pe.size
         for i, j in np.ndindex(table.values.shape):
             seed = int(cell_seed(42, axis_pu[j], axis_pe[i]).generate_state(1)[0])
             p_u, p_e = [dbm_to_mw(axis_pu[j])] * 12, [dbm_to_mw(axis_pe[i])] * 12
@@ -118,6 +124,115 @@ class TestBuild:
         row = table.values[0]
         noise = 3.0 * np.sqrt(row * (1.0 - row) / table.trials)
         assert np.all(row[1:] <= row[:-1] + noise[:-1] + noise[1:])
+
+
+class TestThreads:
+    """``build_table`` shares its cells among one thread per available CPU;
+    the thread count is patched here so the tests read the same on any host."""
+
+    AXIS_PU, AXIS_PE = np.arange(-4.0, 5.0), np.array([-math.inf, 0.0, 3.0])
+    TRIALS, SEED = 1500, 11
+
+    def build(self, monkeypatch, threads, f_count):
+        monkeypatch.setattr(table_module, "_available_cpus", lambda: threads)
+        return build_table(1.0, f_count, 1.0, trials=self.TRIALS, seed=self.SEED,
+                           axis_pu_dbm=self.AXIS_PU, axis_pe_dbm=self.AXIS_PE)
+
+    def fresh(self, f_count, i, j):
+        seed = int(cell_seed(self.SEED, self.AXIS_PU[j], self.AXIS_PE[i]).generate_state(1)[0])
+        p_u = [dbm_to_mw(self.AXIS_PU[j])] * f_count
+        p_e = [dbm_to_mw(self.AXIS_PE[i])] * f_count
+        return estimate_outage(p_u, p_e, 1.0, 1.0, self.TRIALS, seed).p_hat
+
+    @pytest.mark.parametrize("f_count", [3, 12])
+    def test_same_bits_for_one_and_three_threads(self, monkeypatch, f_count):
+        one, three = (self.build(monkeypatch, n, f_count) for n in (1, 3))
+        assert one.values.tobytes() == three.values.tobytes()
+        assert np.any(three.values == 1.0) and np.any(three.values < 1.0)  # sure and sampled
+        for i, j in np.ndindex(three.values.shape):
+            assert three.values[i, j] == self.fresh(f_count, i, j)
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        # each thread writes only its own cells and its own counter, so no
+        # write is lost however often the interpreter switches threads
+        one = self.build(monkeypatch, 1, 12)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = self.build(monkeypatch, 8, 12)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.values.tobytes() == one.values.tobytes()
+
+    def test_more_cpus_than_cells(self, monkeypatch):
+        one = self.build(monkeypatch, 1, 3)
+        monkeypatch.setattr(table_module, "_available_cpus", lambda: 64)
+        small = build_table(1.0, 3, 1.0, trials=self.TRIALS, seed=self.SEED,
+                            axis_pu_dbm=self.AXIS_PU[:2], axis_pe_dbm=self.AXIS_PE[:1])
+        assert small.values.tobytes() == one.values[:1, :2].tobytes()
+        with pytest.raises(ValueError, match="non-empty"):  # no cells, one idle thread
+            build_table(1.0, 3, 1.0, trials=self.TRIALS, seed=self.SEED, axis_pu_dbm=[])
+
+    @pytest.mark.parametrize("f_count", [3, 12])
+    def test_a_failing_cell_stops_every_thread(self, monkeypatch, f_count):
+        # after the failure each other thread finishes at most the cell it had
+        # already started, and build_table raises the cell's own error
+        real, calls, lock = table_module.estimate_outage, [], threading.Lock()
+        bad = (dbm_to_mw(self.AXIS_PU[0]), 0.0)  # the first cell: a sampled one
+
+        def failing(p_u, p_e, *args):
+            with lock:
+                calls.append(threading.get_ident())
+                if (p_u[0], p_e[0]) == bad:
+                    calls.append("failed")
+                    raise RuntimeError("cell failed")
+            return real(p_u, p_e, *args)
+
+        monkeypatch.setattr(table_module, "estimate_outage", failing)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            self.build(monkeypatch, 3, f_count)
+        failed = calls.index("failed")
+        after = calls[failed + 1:]
+        assert calls[failed - 1] not in after  # the failing thread starts nothing more
+        assert all(after.count(ident) <= 1 for ident in after)
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_stops_every_thread(self, monkeypatch):
+        # Ctrl-C reaches the caller's thread, which stops the other threads
+        # at their next cell; without the stop they would finish their shares
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("signals reach only the main thread")
+        real, calls = table_module.estimate_outage, []
+
+        def slow(*args):
+            calls.append(threading.get_ident())
+            if len(calls) == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(table_module, "estimate_outage", slow)
+        with pytest.raises(KeyboardInterrupt):
+            self.build(monkeypatch, 3, 12)
+        assert len(calls) <= 2 * 3
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_logs_one_line_with_the_counts(self, monkeypatch, caplog, threads):
+        seeded = []
+
+        def spy(base_seed, pu_dbm, pe_dbm):
+            seeded.append((pu_dbm, pe_dbm))
+            return cell_seed(base_seed, pu_dbm, pe_dbm)
+
+        monkeypatch.setattr(table_module, "cell_seed", spy)
+        with caplog.at_level(logging.INFO, logger="slicepower.table"):
+            self.build(monkeypatch, threads, 12)
+        [record] = [r for r in caplog.records if r.name == "slicepower.table"]
+        cells, sure, sampled, used, seconds = record.args
+        assert cells == self.AXIS_PU.size * self.AXIS_PE.size
+        assert (sampled, sure) == (len(seeded), cells - len(seeded)) and 0 < sure < cells
+        assert used == threads and seconds > 0.0
+        assert record.levelno == logging.INFO
 
 
 class TestQuery:
