@@ -3,11 +3,13 @@
 The joint minimum-power problem decouples: the broadband powers follow
 from water-filling alone and the cancellation floor from the broadband
 solution (:func:`embb_stage`, once per drop); only the URLLC reliability
-power needs search (:func:`allocate`).  The table-based allocator picks
+power needs search (:func:`urllc_stage`).  The table-based allocator picks
 the uniform power that survives the worst tabulated interference; the
 descent allocator starts there and walks coordinates down toward the
 cancellation floor while a frozen-draw outage estimate stays inside the
-target.
+target.  :func:`evidence_stage` then checks the final powers on fresh
+draws; :func:`allocate` runs the two stages in turn, and a sweep runs each
+evidence stage apart, on a helper thread.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
     "embb_stage",
     "feasible_urllc_power",
     "descend_urllc_power",
+    "urllc_stage",
+    "evidence_stage",
     "allocate",
 ]
 
@@ -212,12 +216,11 @@ def embb_stage(grid: ResourceGrid, traffic: TrafficSpec, gamma_e: np.ndarray, sc
     return EmbbStage(gamma_e=gamma_e, sets=sets, r_e=r_e, r_u=r_u, p_e=p_e, p_u_sic=p_u_sic)
 
 
-def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, seed: int,
-             table: OutageTable, bcd: BcdOptions = BcdOptions(),
-             evidence_trials: int = 10**6) -> AllocationResult:
-    """URLLC power by the chosen algorithm on top of a broadband stage, for
-    the URLLC mean gain ``gamma_u`` [per mW], then an independent Monte
-    Carlo outage estimate of the final vectors as evidence."""
+def urllc_stage(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, seed: int,
+                table: OutageTable, bcd: BcdOptions = BcdOptions()) -> tuple[np.ndarray, int]:
+    """URLLC powers on the URLLC resources by the chosen algorithm, for the
+    URLLC mean gain ``gamma_u`` [per mW], and the descent's sweep count
+    (0 for the table algorithm)."""
     if algorithm not in Algorithm.ALL:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {Algorithm.ALL}")
     if not gamma_u > 0.0:
@@ -234,22 +237,40 @@ def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, 
     p_e_on_fu = embb.p_e[fu]
     p_sic_on_fu = embb.p_u_sic[fu]
     p_u_on_fu = feasible_urllc_power(p_e_on_fu, p_sic_on_fu, table, epsilon_u)
-    iterations = 0
-    if algorithm == Algorithm.BCD:
-        # built in the call, so its draws are freed before the evidence run
-        crn_seed = int(rngmod.derive_seed_sequence(seed, "bcd-draws").generate_state(1)[0])
-        p_u_on_fu, iterations = descend_urllc_power(
-            p_u_on_fu, p_sic_on_fu, p_e_on_fu,
-            CommonRandomOutage(gamma_u, sets.F_u, r_u, bcd.draws, seed=crn_seed),
-            epsilon_u, bcd,
-        )
+    if algorithm != Algorithm.BCD:
+        return p_u_on_fu, 0
+    # built in the call, so its draws are freed when the stage returns
+    crn_seed = int(rngmod.derive_seed_sequence(seed, "bcd-draws").generate_state(1)[0])
+    return descend_urllc_power(
+        p_u_on_fu, p_sic_on_fu, p_e_on_fu,
+        CommonRandomOutage(gamma_u, sets.F_u, r_u, bcd.draws, seed=crn_seed), epsilon_u, bcd,
+    )
 
-    p_u = _as_full(p_u_on_fu, fu, sets.grid.F)
+
+def evidence_stage(embb: EmbbStage, gamma_u: float, algorithm: str, p_u_on_fu: np.ndarray,
+                   iterations: int, seed: int, evidence_trials: int = 10**6) -> AllocationResult:
+    """The result of :func:`urllc_stage`'s powers and sweep count under the
+    same seed: an independent Monte Carlo outage estimate of the final
+    vectors as evidence, and the cancellation check."""
+    sets, r_u = embb.sets, embb.r_u
+    fu = list(sets.f_u)
+    p_e_on_fu = embb.p_e[fu]
     evidence_seed = int(rngmod.derive_seed_sequence(seed, "evidence").generate_state(1)[0])
     p_u_hat = estimate_outage(p_u_on_fu, p_e_on_fu, gamma_u, r_u, evidence_trials, evidence_seed)
     # under OMA nothing is superposed, so the broadband receiver has nothing to cancel
     sic_ok = sets.scheme is Scheme.OMA or mutual_info_u(
         p_u_on_fu, p_e_on_fu, embb.gamma_e[fu]) >= r_u * (1.0 - _SIC_REL_TOL)
 
-    return AllocationResult(embb=embb, p_u=p_u, p_u_hat=p_u_hat, sic_satisfied=sic_ok,
-                            algorithm=algorithm, iterations=iterations)
+    return AllocationResult(embb=embb, p_u=_as_full(p_u_on_fu, fu, sets.grid.F), p_u_hat=p_u_hat,
+                            sic_satisfied=sic_ok, algorithm=algorithm, iterations=iterations)
+
+
+def allocate(embb: EmbbStage, gamma_u: float, algorithm: str, epsilon_u: float, seed: int,
+             table: OutageTable, bcd: BcdOptions = BcdOptions(),
+             evidence_trials: int = 10**6) -> AllocationResult:
+    """URLLC power by the chosen algorithm on top of a broadband stage, for
+    the URLLC mean gain ``gamma_u`` [per mW], then an independent Monte
+    Carlo outage estimate of the final vectors as evidence: the
+    :func:`urllc_stage` and then the :func:`evidence_stage`."""
+    p_u_on_fu, iterations = urllc_stage(embb, gamma_u, algorithm, epsilon_u, seed, table, bcd)
+    return evidence_stage(embb, gamma_u, algorithm, p_u_on_fu, iterations, seed, evidence_trials)

@@ -2,9 +2,18 @@
 
 A sweep evaluates every (eMBB distance, URLLC distance, scheme,
 algorithm) combination over a number of fading drops and writes one CSV
-per swept axis plus a broadband-power summary.  All randomness is
-derived from the config seed, and records are emitted in sorted key
-order, so identical configs produce byte-identical files.
+per swept axis plus a broadband-power summary.  Records come in sweep
+order: placements sorted, schemes and algorithms in config order.  All
+randomness is derived from the config seed, so identical configs produce
+byte-identical files on any number of CPUs.
+
+The caller's thread builds or loads the tables and runs every drop's
+URLLC stage (the table lookup and the descent) in sweep order, so one
+frozen-draw matrix is alive at a time.  Each drop's evidence run goes to
+helper threads, one per available CPU beyond the caller's
+(:func:`slicepower.parallel.fan_out`), and overlaps the descents that
+follow it.  A point's record is made and logged as soon as its evidence
+runs and every earlier point's are done.
 """
 
 from __future__ import annotations
@@ -12,22 +21,27 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import threading
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import rng as rngmod
-from .alloc import Algorithm, allocate, embb_stage
+from .alloc import Algorithm, allocate, embb_stage, evidence_stage, urllc_stage
 from .channel import drop
 from .config import ScenarioConfig, scheme_f_u_count
 from .errors import SlicePowerError, TableExhaustedError
 from .grid import Scheme
+from .parallel import fan_out
 from .table import (OutageTable, build_table, default_interference_axis_dbm, interference_row,
                     load_table, save_table)
 from .units import gain_to_snr_db, mw_to_dbm
 
+# ``allocate`` stays bound here for callers that look it up on this module
+# (bench/tracing.py); the sweep runs its two stages apart
 __all__ = ["SweepRecord", "table_path", "table_build_command", "ensure_table", "run_sweep",
-           "write_records_csv"]
+           "write_records_csv", "allocate"]
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +114,29 @@ def _mean_dbm(values_mw) -> float:
     return mw_to_dbm(float(np.mean(values_mw)))
 
 
+@dataclass
+class _Point:
+    """One sweep point while the evidence runs of its drops are outstanding."""
+
+    scheme: str
+    algorithm: str
+    d_u_m: float
+    d_e_m: float
+    results: list  # one AllocationResult per drop, None until its evidence run ends
+    missing: int
+
+    def record(self) -> SweepRecord:
+        results = self.results
+        return SweepRecord(
+            scheme=self.scheme, algorithm=self.algorithm, d_u_m=self.d_u_m, d_e_m=self.d_e_m,
+            mean_total_dbm=_mean_dbm([r.p_total_mw for r in results]),
+            mean_urllc_dbm=_mean_dbm([r.urllc_power_mw for r in results]),
+            mean_embb_dbm=_mean_dbm([r.embb_power_mw for r in results]),
+            mean_p_hat=float(np.mean([r.p_u_hat.p_hat for r in results])),
+            drops=len(results),
+        )
+
+
 def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
     """Evaluate the whole sweep; returns records and writes CSVs.
 
@@ -107,55 +144,73 @@ def run_sweep(cfg: ScenarioConfig, out_dir: str | None = None) -> list:
     placement (:func:`slicepower.channel.drop`), so comparisons see
     common channels.  Its broadband stage (:func:`slicepower.alloc.embb_stage`)
     is computed once per (eMBB placement, scheme) and serves every URLLC
-    placement and algorithm.
+    placement and algorithm.  Each drop's result is the one
+    :func:`slicepower.alloc.allocate` returns for it: the URLLC stage runs
+    on the caller's thread, the evidence stage on any (module docstring).
     OMA points run the table algorithm only (the descent cannot improve
     a uniform no-interference optimum by more than the grid step).
     """
+    start = time.perf_counter()
     grid = cfg.grid()
     traffic = cfg.traffic()
-    records: list[SweepRecord] = []
     d_u_axis, d_e_axis = cfg.placements()
     if not d_u_axis or not d_e_axis:
         log.info("empty sweep axis; nothing to do")
-        return records
+        return []
 
     bcd = cfg.bcd_options()
-    for d_e in d_e_axis:
-        gamma_e_mean = cfg.mean_gain(d_e)
-        gains = [drop(cfg.seed, i, gamma_e_mean, grid.F) for i in range(cfg.drops)]
-        stages = {label: [embb_stage(grid, traffic, g, *scheme_f_u_count(label, grid.F), cfg.m_u)
-                          for g in gains] for label in cfg.schemes}
-        # the worst broadband power on a URLLC resource, which every table must cover
-        worst = {label: max(float(stage.p_e[list(stage.sets.f_u)].max()) for stage in runs)
-                 for label, runs in stages.items()}
-        for d_u in d_u_axis:
-            gamma_u_mean = cfg.mean_gain(d_u)
-            for scheme_label in cfg.schemes:
-                first = stages[scheme_label][0]  # every drop needs the same (F_u, r_u)
-                try:
-                    table = ensure_table(cfg, gamma_u_mean, first.sets.F_u, first.r_u,
-                                         worst[scheme_label])
-                except TableExhaustedError as exc:
-                    raise TableExhaustedError(f"at d_e = {d_e:g} m: {exc}") from exc
-                algos = cfg.algorithms if first.sets.scheme is Scheme.NOMA else (Algorithm.FEASIBLE,)
-                for algo in algos:
-                    results = []
-                    for i, stage in enumerate(stages[scheme_label]):
-                        drop_seed = rngmod.derive_seed_sequence(
-                            cfg.seed, "alloc", scheme_label, algo, float(d_e), float(d_u), i)
-                        results.append(allocate(stage, gamma_u_mean, algo, traffic.epsilon_u,
-                                                int(drop_seed.generate_state(1)[0]), table=table,
-                                                bcd=bcd, evidence_trials=cfg.evidence_trials))
-                    records.append(SweepRecord(
-                        scheme=scheme_label, algorithm=algo, d_u_m=d_u, d_e_m=d_e,
-                        mean_total_dbm=_mean_dbm([r.p_total_mw for r in results]),
-                        mean_urllc_dbm=_mean_dbm([r.urllc_power_mw for r in results]),
-                        mean_embb_dbm=_mean_dbm([r.embb_power_mw for r in results]),
-                        mean_p_hat=float(np.mean([r.p_u_hat.p_hat for r in results])),
-                        drops=len(results),
-                    ))
-                    log.info("point done: %s", records[-1])
+    points: list[_Point] = []
+    records: list[SweepRecord] = []
+    lock = threading.Lock()  # guards points, records and each point's missing count
 
+    def urllc_stages():
+        """Every drop's URLLC stage in sweep order, each followed by the
+        arguments of its evidence run."""
+        for d_e in d_e_axis:
+            gamma_e_mean = cfg.mean_gain(d_e)
+            gains = [drop(cfg.seed, i, gamma_e_mean, grid.F) for i in range(cfg.drops)]
+            stages = {label: [embb_stage(grid, traffic, g, *scheme_f_u_count(label, grid.F),
+                                         cfg.m_u) for g in gains] for label in cfg.schemes}
+            # the worst broadband power on a URLLC resource, which every table must cover
+            worst = {label: max(float(stage.p_e[list(stage.sets.f_u)].max()) for stage in runs)
+                     for label, runs in stages.items()}
+            for d_u in d_u_axis:
+                gamma_u_mean = cfg.mean_gain(d_u)
+                for scheme_label in cfg.schemes:
+                    first = stages[scheme_label][0]  # every drop needs the same (F_u, r_u)
+                    try:
+                        table = ensure_table(cfg, gamma_u_mean, first.sets.F_u, first.r_u,
+                                             worst[scheme_label])
+                    except TableExhaustedError as exc:
+                        raise TableExhaustedError(f"at d_e = {d_e:g} m: {exc}") from exc
+                    algos = (cfg.algorithms if first.sets.scheme is Scheme.NOMA
+                             else (Algorithm.FEASIBLE,))
+                    for algo in algos:
+                        point = _Point(scheme_label, algo, d_u, d_e, [None] * cfg.drops,
+                                       cfg.drops)
+                        with lock:
+                            points.append(point)
+                        for i, stage in enumerate(stages[scheme_label]):
+                            drop_seed = rngmod.derive_seed_sequence(
+                                cfg.seed, "alloc", scheme_label, algo, float(d_e), float(d_u), i)
+                            seed = int(drop_seed.generate_state(1)[0])
+                            p_u, sweeps = urllc_stage(stage, gamma_u_mean, algo, traffic.epsilon_u,
+                                                      seed, table, bcd)
+                            yield point, i, stage, gamma_u_mean, algo, p_u, sweeps, seed
+
+    def evidence(point, i, stage, gamma_u_mean, algo, p_u, sweeps, seed) -> None:
+        point.results[i] = evidence_stage(stage, gamma_u_mean, algo, p_u, sweeps, seed,
+                                          cfg.evidence_trials)
+        with lock:
+            point.missing -= 1
+            while len(records) < len(points) and not points[len(records)].missing:
+                records.append(points[len(records)].record())
+                log.info("point done: %s", records[-1])
+
+    threads = fan_out(evidence, urllc_stages())
+    log.info("swept: %d points, %d allocations, %d evidence threads, %.2f s",
+             len(records), sum(rec.drops for rec in records), threads,
+             time.perf_counter() - start)
     if out_dir is not None and records:
         _emit_csvs(records, cfg, out_dir)
     return records

@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 from . import rng as rngmod
 from .errors import TableExhaustedError
 from .outage import _sure_outage, _target_nats, estimate_outage
+from .parallel import fan_out
 from .units import dbm_to_mw, mw_to_dbm
 
 __all__ = [
@@ -115,13 +115,6 @@ def cell_seed(base_seed: int, pu_dbm: float, pe_dbm: float) -> np.random.SeedSeq
     return rngmod.derive_seed_sequence(base_seed, "table-cell", float(pu_dbm), float(pe_dbm))
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_table(
     gamma_u: float,
     f_count: int,
@@ -140,11 +133,11 @@ def build_table(
     can reach the rate (every rate stays below ``log(1 + Pu/Pe)``) is a
     sure outage: it reads 1, as any seed would estimate, without a run.
 
-    The cells are shared out, interleaved, among one thread per available
-    CPU, the caller's included (numpy releases the GIL while it draws and
-    sums); the values are the same bits for any thread count.  The first
-    error in any cell, or an interrupt of the caller, stops every thread
-    at its next cell, and the error is raised here.
+    The cells are fanned out over one thread per available CPU, the
+    caller's included (:func:`slicepower.parallel.fan_out`); the values are
+    the same bits for any thread count.  The first error in any cell, or an
+    interrupt of the caller, stops every thread at its next cell, and the
+    error is raised here.
     """
     start = time.perf_counter()
     axis_pu = default_power_axis_dbm() if axis_pu_dbm is None else np.asarray(axis_pu_dbm, float)
@@ -153,42 +146,20 @@ def build_table(
     )
     target_nats = _target_nats(gamma_u, trials, f_count, r_u)
     values = np.ones((axis_pe.size, axis_pu.size))  # what a sure outage reads under any seed
-    cells = list(np.ndindex(values.shape))
-    threads = max(1, min(_available_cpus(), len(cells)))
-    sampled, errors, stop = [0] * threads, [], threading.Event()
+    sampled = np.zeros(values.shape, dtype=bool)
 
-    def work(k: int) -> None:
-        try:
-            for i, j in cells[k::threads]:
-                if stop.is_set():
-                    return
-                p_u = np.full(f_count, dbm_to_mw(axis_pu[j]))
-                p_e = np.full(f_count, dbm_to_mw(axis_pe[i]))
-                if not _sure_outage(p_u, p_e, target_nats):
-                    cell = int(cell_seed(seed, axis_pu[j], axis_pe[i]).generate_state(1)[0])
-                    values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
-                    sampled[k] += 1
-        except BaseException as exc:  # re-raised below once every thread has stopped
-            errors.append(exc)
-            stop.set()
+    def fill(i: int, j: int) -> None:
+        p_u = np.full(f_count, dbm_to_mw(axis_pu[j]))
+        p_e = np.full(f_count, dbm_to_mw(axis_pe[i]))
+        if not _sure_outage(p_u, p_e, target_nats):
+            cell = int(cell_seed(seed, axis_pu[j], axis_pe[i]).generate_state(1)[0])
+            values[i, j] = estimate_outage(p_u, p_e, gamma_u, r_u, trials, cell).p_hat
+            sampled[i, j] = True
 
-    helpers = [threading.Thread(target=work, args=(k,)) for k in range(1, threads)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(0)  # the caller's own share
-        for helper in helpers:
-            helper.join()
-    except BaseException:  # an interrupt while joining
-        stop.set()
-        for helper in helpers:
-            helper.join()
-        raise
-    if errors:
-        raise errors[0]
+    threads = fan_out(fill, np.ndindex(values.shape), most=values.size)
+    count = int(sampled.sum())
     log.info("built outage table: %d cells, %d sure outages, %d sampled, %d threads, %.2f s",
-             len(cells), len(cells) - sum(sampled), sum(sampled), threads,
-             time.perf_counter() - start)
+             values.size, values.size - count, count, threads, time.perf_counter() - start)
     return OutageTable(
         axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
         r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,

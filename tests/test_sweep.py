@@ -1,13 +1,19 @@
 import csv
+import logging
 import math
 import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import slicepower.alloc
+import slicepower.parallel
 import slicepower.sweep
-from slicepower import (SlicePowerError, TableExhaustedError, build_table, embb_stage,
+import slicepower.table
+from slicepower import (SlicePowerError, TableExhaustedError, allocate, build_table, embb_stage,
                         load_config, save_table, scheme_f_u_count)
 from slicepower.channel import drop
 from slicepower.sweep import ensure_table, run_sweep, table_path
@@ -145,12 +151,202 @@ class TestRunSweep:
         cfg = fast_config(tmp_path, schemes=("noma",), algorithms=("bcd",), d_u=(100.0,),
                           drops=2, table_trials=3000, crn_draws=3000, evidence_trials=3000)
         run_sweep(cfg, out_dir=str(tmp_path / "cached"))
-        monkeypatch.setattr(slicepower.alloc, "CommonRandomOutage", UncachedCommonRandomOutage)
+        built = []
+
+        class Oracle(UncachedCommonRandomOutage):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(slicepower.alloc, "CommonRandomOutage", Oracle)
         run_sweep(cfg, out_dir=str(tmp_path / "oracle"))
+        assert len(built) == cfg.drops  # one descent per drop ran on the oracle
         names = sorted(os.listdir(tmp_path / "cached"))
         assert names == sorted(os.listdir(tmp_path / "oracle")) and "records.csv" in names
         for name in names:
             assert (tmp_path / "cached" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+
+class TestThreads:
+    """Descents on the caller's thread, evidence runs on one helper thread per
+    further CPU (``slicepower.parallel.fan_out``); the CPU count is patched
+    so the tests read the same on any host."""
+
+    @pytest.fixture(scope="class")
+    def table_dir(self, tmp_path_factory):
+        # the tables every sweep below loads, built once on one thread
+        root = tmp_path_factory.mktemp("threads")
+        run_sweep(self.config(root), out_dir=None)
+        return root
+
+    @staticmethod
+    def config(root, **extra):
+        return fast_config(root, d_u=(100.0,), **extra)
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(slicepower.parallel, "_available_cpus", lambda: count)
+
+    def test_same_bytes_on_any_cpu_count(self, table_dir, tmp_path, monkeypatch, caplog):
+        # every record, and every "point done" line, comes in sweep order however
+        # often the interpreter switches threads
+        cfg = self.config(table_dir, drops=8)
+        files = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 3, 8):
+                self.cpus(monkeypatch, count)
+                caplog.clear()
+                with caplog.at_level(logging.INFO, logger="slicepower.sweep"):
+                    records = run_sweep(cfg, out_dir=str(tmp_path / str(count)))
+                done = [r.getMessage() for r in caplog.records
+                        if r.getMessage().startswith("point done")]
+                assert done == [f"point done: {r}" for r in records]
+                out = tmp_path / str(count)
+                files[count] = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(records) == 3 and "records.csv" in files[1]
+        assert files[2] == files[1] and files[3] == files[1] and files[8] == files[1]
+
+    def test_one_cpu_starts_no_thread(self, table_dir, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        self.cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert len(run_sweep(self.config(table_dir), out_dir=None)) == 3
+
+    def test_each_drop_is_what_allocate_returns(self, table_dir, monkeypatch):
+        cfg = self.config(table_dir)
+        seen, real = [], slicepower.sweep.evidence_stage
+
+        def spy(*args):
+            result = real(*args)
+            seen.append((args, result))
+            return result
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(slicepower.sweep, "evidence_stage", spy)
+        records = run_sweep(cfg, out_dir=None)
+        assert len(seen) == sum(r.drops for r in records) == 3 * cfg.drops
+        for (stage, gamma_u, algo, _, _, seed, trials), result in seen:
+            table = ensure_table(cfg, gamma_u, stage.sets.F_u, stage.r_u)
+            alone = allocate(stage, gamma_u, algo, cfg.epsilon_u, seed, table,
+                             cfg.bcd_options(), trials)
+            assert alone.p_u.tobytes() == result.p_u.tobytes()
+            assert alone.p_u_hat == result.p_u_hat
+            assert (alone.sic_satisfied, alone.iterations) == (result.sic_satisfied,
+                                                               result.iterations)
+
+    def test_points_are_logged_as_they_complete(self, table_dir, monkeypatch, caplog):
+        # the last URLLC stage waits for the first point's line, which a
+        # helper logs while the caller still has descents to run
+        logged = threading.Event()
+
+        class Spy(logging.Handler):
+            def emit(self, record):
+                if record.getMessage().startswith("point done"):
+                    logged.set()
+
+        real, calls = slicepower.sweep.urllc_stage, []
+
+        def waiting(*args):
+            calls.append(args)
+            if len(calls) == 3 * 3:
+                assert logged.wait(timeout=30)
+            return real(*args)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(slicepower.sweep, "urllc_stage", waiting)
+        handler, logger = Spy(), logging.getLogger("slicepower.sweep")
+        logger.addHandler(handler)
+        try:
+            with caplog.at_level(logging.INFO, logger="slicepower.sweep"):
+                assert len(run_sweep(self.config(table_dir), out_dir=None)) == 3
+        finally:
+            logger.removeHandler(handler)
+        assert len(calls) == 3 * 3
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_logs_one_line_with_the_counts(self, table_dir, monkeypatch, caplog, count):
+        self.cpus(monkeypatch, count)
+        with caplog.at_level(logging.INFO, logger="slicepower.sweep"):
+            records = run_sweep(self.config(table_dir), out_dir=None)
+        [line] = [r for r in caplog.records if r.getMessage().startswith("swept")]
+        points, allocations, threads, seconds = line.args
+        assert (points, allocations, threads) == (len(records), 3 * len(records), count)
+        assert seconds > 0.0 and line.levelno == logging.INFO
+
+    def test_a_descent_error_stops_every_thread(self, table_dir, monkeypatch):
+        real, calls = slicepower.alloc.descend_urllc_power, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("descent failed")
+            return real(*args)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(slicepower.alloc, "descend_urllc_power", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="descent failed"):
+            run_sweep(self.config(table_dir), out_dir=None)
+        assert threading.active_count() == before and len(calls) == 2
+
+    def test_an_evidence_error_on_a_helper_stops_every_thread(self, table_dir, monkeypatch):
+        # the second descent waits until a helper has failed the first evidence run
+        caller, failed = threading.get_ident(), threading.Event()
+        real_estimate = slicepower.alloc.estimate_outage
+        real_descend, descents = slicepower.alloc.descend_urllc_power, []
+
+        def estimate(*args):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError("evidence failed")
+            return real_estimate(*args)
+
+        def descend(*args):
+            descents.append(args)
+            if len(descents) == 2:
+                assert failed.wait(timeout=30)
+            return real_descend(*args)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(slicepower.alloc, "estimate_outage", estimate)
+        monkeypatch.setattr(slicepower.alloc, "descend_urllc_power", descend)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="evidence failed"):
+            run_sweep(self.config(table_dir, schemes=("noma",), algorithms=("bcd",)), out_dir=None)
+        assert threading.active_count() == before and len(descents) == 2
+
+    @pytest.mark.parametrize("interrupt", [False, True])
+    def test_a_table_build_inside_a_sweep_stops_every_thread(self, tmp_path, monkeypatch,
+                                                            interrupt):
+        # the d_u = 200 m tables are built after the 100 m points' evidence runs
+        # were handed out; their first cell fails or interrupts the caller
+        if interrupt and (not hasattr(signal, "pthread_kill")
+                          or threading.current_thread() is not threading.main_thread()):
+            pytest.skip("signals reach only the main thread")
+        cfg = fast_config(tmp_path, schemes=("noma",), drops=2)
+        far, real, calls = cfg.mean_gain(200.0), slicepower.table.estimate_outage, []
+
+        def cell(p_u, p_e, gamma_u, *args):
+            if gamma_u == far:
+                calls.append(threading.get_ident())
+                if len(calls) == 1:
+                    if not interrupt:
+                        raise RuntimeError("cell failed")
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            return real(p_u, p_e, gamma_u, *args)
+
+        self.cpus(monkeypatch, 2)
+        monkeypatch.setattr(slicepower.table, "estimate_outage", cell)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt if interrupt else RuntimeError):
+            run_sweep(cfg, out_dir=None)
+        assert threading.active_count() == before and calls
 
 
 class TestInterferencePreflight:
@@ -169,7 +365,7 @@ class TestInterferencePreflight:
         # about 40 dBm, above the default axis's 30 dBm top row
         cfg = fast_config(tmp_path, n_e=3 * 8640.0, d_e=(400.0,), d_u=(100.0,),
                           schemes=("noma",), algorithms=("fea",))
-        self.forbid(monkeypatch, "build_table", "allocate")
+        self.forbid(monkeypatch, "build_table", "urllc_stage", "evidence_stage")
         with pytest.raises(TableExhaustedError, match=r"d_e = 400 m: interference 39\.98 dBm"):
             run_sweep(cfg, out_dir=None)
 
@@ -185,7 +381,7 @@ class TestInterferencePreflight:
         path = table_path(cfg, gamma_u, stage.sets.F_u, stage.r_u)
         os.makedirs(os.path.dirname(path))
         save_table(table, path)
-        self.forbid(monkeypatch, "allocate")
+        self.forbid(monkeypatch, "urllc_stage", "evidence_stage")
         with pytest.raises(TableExhaustedError,
                            match=r"d_e = 146.9 m: .* exceeds the table's -30.00 dBm"):
             run_sweep(cfg, out_dir=None)

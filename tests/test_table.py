@@ -24,6 +24,7 @@ from slicepower.units import dbm_to_mw
 from oracles import one_shot_outage
 
 table_module = importlib.import_module("slicepower.table")
+parallel = importlib.import_module("slicepower.parallel")
 
 
 def synthetic_table():
@@ -127,14 +128,15 @@ class TestBuild:
 
 
 class TestThreads:
-    """``build_table`` shares its cells among one thread per available CPU;
-    the thread count is patched here so the tests read the same on any host."""
+    """``build_table`` fans its cells out over one thread per available CPU
+    (``slicepower.parallel.fan_out``); the CPU count is patched here so the
+    tests read the same on any host."""
 
     AXIS_PU, AXIS_PE = np.arange(-4.0, 5.0), np.array([-math.inf, 0.0, 3.0])
     TRIALS, SEED = 1500, 11
 
     def build(self, monkeypatch, threads, f_count):
-        monkeypatch.setattr(table_module, "_available_cpus", lambda: threads)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: threads)
         return build_table(1.0, f_count, 1.0, trials=self.TRIALS, seed=self.SEED,
                            axis_pu_dbm=self.AXIS_PU, axis_pe_dbm=self.AXIS_PE)
 
@@ -153,7 +155,7 @@ class TestThreads:
             assert three.values[i, j] == self.fresh(f_count, i, j)
 
     def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
-        # each thread writes only its own cells and its own counter, so no
+        # each job writes only its own cell and its own sampled flag, so no
         # write is lost however often the interpreter switches threads
         one = self.build(monkeypatch, 1, 12)
         interval = sys.getswitchinterval()
@@ -166,7 +168,7 @@ class TestThreads:
 
     def test_more_cpus_than_cells(self, monkeypatch):
         one = self.build(monkeypatch, 1, 3)
-        monkeypatch.setattr(table_module, "_available_cpus", lambda: 64)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 64)
         small = build_table(1.0, 3, 1.0, trials=self.TRIALS, seed=self.SEED,
                             axis_pu_dbm=self.AXIS_PU[:2], axis_pe_dbm=self.AXIS_PE[:1])
         assert small.values.tobytes() == one.values[:1, :2].tobytes()
@@ -189,8 +191,10 @@ class TestThreads:
             return real(p_u, p_e, *args)
 
         monkeypatch.setattr(table_module, "estimate_outage", failing)
+        before = threading.active_count()
         with pytest.raises(RuntimeError, match="cell failed"):
             self.build(monkeypatch, 3, f_count)
+        assert threading.active_count() == before
         failed = calls.index("failed")
         after = calls[failed + 1:]
         assert calls[failed - 1] not in after  # the failing thread starts nothing more
@@ -212,9 +216,10 @@ class TestThreads:
             return real(*args)
 
         monkeypatch.setattr(table_module, "estimate_outage", slow)
+        before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             self.build(monkeypatch, 3, 12)
-        assert len(calls) <= 2 * 3
+        assert len(calls) <= 2 * 3 and threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_logs_one_line_with_the_counts(self, monkeypatch, caplog, threads):
