@@ -14,6 +14,7 @@ evidence stage apart, on a helper thread.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ __all__ = [
     "evidence_stage",
     "allocate",
 ]
+
+log = logging.getLogger(__name__)
 
 _SIC_REL_TOL = 1e-9
 # a step below this share of the largest active power only moves float rounding
@@ -164,16 +167,18 @@ def descend_urllc_power(
     the current step (never below the cancellation floor) and keeps it
     only if the frozen-draw outage estimate stays acceptable.  Entries
     that reach the floor leave the sweep.  Returns the final vector and
-    the number of sweeps.
+    the number of sweeps, and logs one DEBUG line with the sweeps, tries,
+    accepted moves and step halvings beside the evaluator's ``repr``
+    (for :class:`CommonRandomOutage`, its live draws out of all).
     """
     p = np.asarray(p_u_init, dtype=float).copy()
     floor = np.asarray(p_u_sic_on_fu, dtype=float)
     crn.attach(p, p_e_on_fu)
     active = [f for f in range(p.size) if p[f] > floor[f]]
     mu = options.mu0_fraction * float(np.mean(p))
-    sweeps = 0
+    sweeps = tries = accepted = halvings = 0
     while active and mu > max(options.tau, _STEP_RESOLUTION * max(p[f] for f in active)):
-        changed = False
+        tries, before = tries + len(active), accepted
         for f in list(active):
             candidate = max(floor[f], p[f] - mu)
             est = crn.try_coordinate(f, candidate)
@@ -181,12 +186,15 @@ def descend_urllc_power(
             if est.p_hat + margin <= epsilon_u:
                 crn.commit(f, candidate)
                 p[f] = candidate
-                changed = True
+                accepted += 1
                 if p[f] <= floor[f]:
                     active.remove(f)
         sweeps += 1
-        if not changed:
+        if accepted == before:
             mu /= 2.0
+            halvings += 1
+    log.debug("bcd descent: %d sweeps, %d tries, %d accepted moves, %d step halvings on %r",
+              sweeps, tries, accepted, halvings, crn)
     return p, sweeps
 
 

@@ -36,9 +36,15 @@ _BLOCK = 3 << 12
 #: makes about F_u + 5 numpy calls, and at F_u = 12 a 1024-draw block made
 #: a 1e5-draw attach 1.7x slower than this width
 _ROWS = 1 << 12
-#: margin of the near set: its width grows with a try's largest fall by
-#: this share and this many nats, far above the rounding of any rate or total
+#: margin of the near set and of the live set's drift: a move's width grows
+#: with its largest fall by this share and this many nats, far above the
+#: rounding of any rate or total
 _BAND = 1e-6
+#: nats by which the live set of a coordinate session reaches past what the
+#: try that widens it needs, so that later commits widen it rarely; on the
+#: ``sweep-warm`` benchmark a descent then ends with a median 4.8% of the
+#: draws live, against 8.1% (28% at most) at 1 nat
+_SLACK = 0.25
 
 
 def _sinr_rate_nats(gamma, p_u, p_e, den: np.ndarray, out=None) -> np.ndarray:
@@ -241,6 +247,26 @@ def single_freq_power(r_u: float, gamma_u_mean: float, epsilon_u: float, p_e_f: 
     return (2.0**r_u - 1.0) * (p_e_f - 1.0 / (gamma_u_mean * math.log1p(-epsilon_u)))
 
 
+def _fall_width(p: float, v: float, p_e: float) -> float:
+    """Width in nats that covers any draw's fall when one power moves from
+    ``p`` to ``v`` against interference ``p_e``.
+
+    The rate is ``ln(1 + a p)`` with ``a = g/(1 + g p_e) < 1/p_e``, and
+    the fall ``ln(1 + a p) - ln(1 + a v)`` grows with ``a``, so it stays
+    below ``ln((p_e + p)/(p_e + v))``; a raise lowers no rate.  The width
+    adds the band to that bound and is infinite when ``p_e + v`` is 0.
+    """
+    p, v, p_e = float(p), float(v), float(p_e)
+    if not v < p:
+        fall = 0.0
+    elif p_e + v > 0.0:
+        fall = math.log(p_e + p) - math.log(p_e + v)
+    else:
+        return math.inf
+    width = fall * (1.0 + _BAND) + _BAND
+    return width if width < math.inf else math.inf  # an infinite power gives inf - inf
+
+
 class CommonRandomOutage:
     """Outage estimator over one frozen matrix of fading draws.
 
@@ -249,24 +275,35 @@ class CommonRandomOutage:
     power coordinate can only grow the outage count.
 
     The draws are kept resource-major, one contiguous column per
-    resource.  :meth:`attach` caches, per resource, the rate column
-    ``ln(1 + g Pu / (1 + g Pe))`` and the per-draw totals.  A try moving
-    resource ``f`` from ``p`` to ``v`` counts ``fl(total + fl(col -
-    rate_f)) <= target`` over the near set only: the draws whose total is
-    at most ``target + W``, with ``W >= max(0, ln(p/v)) (1 + b) + b`` and
-    ``b = 1e-6``.  As ``ln(1 + a p) - ln(1 + a v) <= ln(p/v)`` for
-    ``v < p`` and any ``a >= 0``, a move lowers no total by more than
-    ``ln(p/v)`` and a raise lowers none, up to rounding far below ``b``
-    nats, so no other draw can be in outage.  The near set, with each
-    tried resource's draws, denominators ``1 + g Pe`` and rates in it, is
-    built on the first try after :meth:`attach` or :meth:`commit` and
-    rebuilt wider when a try needs a larger ``W``.  A try to ``v = 0``
-    counts ``fl(total - rate_f)`` over every draw.
+    resource.  A try moving resource ``f`` from ``p`` to ``v`` counts
+    ``fl(total + fl(col - rate_f)) <= target`` over the near set only:
+    the draws whose current total is at most ``target + W``, with ``W``
+    from :func:`_fall_width`, ``ln((P_e,f + p)/(P_e,f + v)) (1 + b) + b``
+    and ``b = 1e-6``.  No draw's rate falls by more than that bound, up to
+    rounding far below ``b`` nats, so no other draw can be in outage.
 
-    An attached estimator holds 2 x draws x F_u float64 (the draws and
-    rates), the totals, two draws-long buffers and four values per near
-    draw and tried resource.  Estimates are bit-identical to a full
-    recompute.
+    :meth:`attach` keeps only each draw's total at the attach vector.
+    Totals and rates are kept current for the live draws alone: every
+    draw whose attach total is at most ``target + reach``.  Each commit
+    adds its own width to a drift ``D``, so a draw outside the live set
+    still has a total above ``target + reach - D``, and the live set
+    holds every near set of width ``W <= reach - D``.  A try that needs
+    more widens ``reach`` to ``D + W`` plus ``_SLACK`` nats; each draw
+    that enters recomputes its rates at the attach vector and replays
+    every commit since, with the same operations as a commit, so its
+    total has the same bits.  A try to ``v = 0`` with ``P_e,f = 0`` has
+    no bound and makes every draw live; so does a widening past half the
+    draws.  The near set, with each tried resource's draws, denominators
+    ``1 + g Pe`` and rates in it, is built from the live set on the first
+    try after :meth:`attach` or :meth:`commit`, and rebuilt wider when a
+    try needs a larger ``W``.  A try to ``v = 0`` counts ``fl(total -
+    rate_f)`` over the live set.
+
+    An attached estimator holds the draws (``draws x F_u`` float64), the
+    attach totals, the attach and working vectors, ``F_u + 2`` values per
+    live draw and four per near draw and tried resource; once every draw
+    is live, the attach totals become the live totals.  Estimates are
+    bit-identical to a full recompute.
     """
 
     def __init__(self, gamma_u_mean: float, f_count: int, r_u: float, draws: int, seed: int):
@@ -275,53 +312,99 @@ class CommonRandomOutage:
         for rows, block in _fading_blocks(seed, "crn", draws, f_count, gamma_u_mean):
             self._gamma[:, rows] = block.T
         self.draws, self.f_count = draws, f_count
-        self._total = None  # set, with the cached columns, by attach()
+        self._log = None  # the commits since attach(), which sets the session up
+
+    def __repr__(self) -> str:
+        live = "not attached" if self._log is None else f"{len(self._idx)} live"
+        return f"CommonRandomOutage({self.f_count} x {self.draws} draws, {live})"
 
     def _estimate(self, total_nats: np.ndarray) -> OutageEstimate:
         return OutageEstimate.from_counts(_outages(total_nats, self.target_nats), self.draws)
 
-    def _columns(self, p_u: np.ndarray, p_e: np.ndarray):
-        """Rate columns at checked vectors, and the per-draw totals."""
-        rate, total = np.empty_like(self._gamma), np.empty(self.draws)
-        den = np.empty((self.f_count, min(_ROWS, self.draws)))
+    def _totals(self, p_u: np.ndarray, p_e: np.ndarray) -> np.ndarray:
+        """Per-draw totals at checked vectors, ``_ROWS`` draws at a time."""
+        total = np.empty(self.draws)
+        rate = np.empty((self.f_count, min(_ROWS, self.draws)))
+        den = np.empty_like(rate)
         p_u, p_e = p_u[:, None], p_e[:, None]
         for start in range(0, self.draws, _ROWS):
-            rows = slice(start, start + _ROWS)
-            b = _sinr_rate_nats(self._gamma[:, rows], p_u, p_e, den=den[:, :self.draws - start],
-                                out=rate[:, rows])
+            rows, n = slice(start, start + _ROWS), min(_ROWS, self.draws - start)
+            b = _sinr_rate_nats(self._gamma[:, rows], p_u, p_e, den=den[:, :n], out=rate[:, :n])
             _row_totals(b, total[rows])
-        return rate, total
+        return total
 
     def estimate(self, p_u, p_e) -> OutageEstimate:
         """Outage estimate at an arbitrary vector pair (full recompute)."""
-        p_u, p_e = _power_vectors(p_u, p_e, self.f_count)
-        return self._estimate(self._columns(p_u, p_e)[1])
+        return self._estimate(self._totals(*_power_vectors(p_u, p_e, self.f_count)))
 
     # -- coordinate-update session -------------------------------------
 
     def attach(self, p_u, p_e) -> OutageEstimate:
-        """Fix the working vectors and cache the columns and per-draw totals."""
+        """Fix the working vectors and keep each draw's total; no draw is live yet."""
         self._p_u, self._p_e = map(np.array, _power_vectors(p_u, p_e, self.f_count))
-        self._rate, self._total = self._columns(self._p_u, self._p_e)
-        self._col, self._den = np.empty(self.draws), np.empty(self.draws)
-        self._near = None
-        return self._estimate(self._total)
+        self._p0, self._t0 = self._p_u.copy(), self._totals(self._p_u, self._p_e)
+        self._log, self._drift, self._reach = [], 0.0, -math.inf
+        self._idx, self._total = np.empty(0, dtype=np.intp), np.empty(0)
+        self._rate, self._near = np.empty((self.f_count, 0)), None
+        return self._estimate(self._t0)
+
+    def _replay(self, idx: np.ndarray, total: np.ndarray, rate: np.ndarray) -> None:
+        """Bring draws ``idx``, whose attach totals ``total`` holds, to the
+        working vector: ``rate`` gets their rates at the attach vector, then
+        each logged commit updates both as :meth:`commit` does."""
+        p_u, p_e = self._p0[:, None], self._p_e[:, None]
+        for start in range(0, len(idx), _ROWS):
+            cols = slice(start, start + _ROWS)
+            g = self._gamma[:, idx[cols]]
+            den, block, sums = np.empty_like(g), rate[:, cols], total[cols]
+            _sinr_rate_nats(g, p_u, p_e, den=den, out=block)
+            for f, value in self._log:
+                col = np.multiply(g[f], value)
+                col /= den[f]
+                np.log1p(col, out=col)
+                sums += np.subtract(col, block[f])
+                block[f] = col
+
+    def _sync(self, width: float) -> None:
+        """Widen the live set, if need be, to every draw a near set ``width`` wide may hold."""
+        need = self._drift + width
+        if need <= self._reach:
+            return
+        reach, self._near = need + _SLACK, None
+        enter = np.flatnonzero((self._t0 <= self.target_nats + reach)
+                               & (self._t0 > self.target_nats + self._reach))
+        if reach < math.inf and 2 * (len(self._idx) + len(enter)) <= self.draws:
+            total, rate = self._t0[enter], np.empty((self.f_count, len(enter)))
+            self._replay(enter, total, rate)
+            self._idx = np.concatenate((self._idx, enter))
+            self._total = np.concatenate((self._total, total))
+            self._rate = np.concatenate((self._rate, rate), axis=1)
+            self._reach = reach
+            return
+        # every draw, with the attach totals updated in place: no more memory
+        # than one rate per draw and resource beside the draws
+        self._rate = None
+        idx, total, self._t0 = np.arange(self.draws), self._t0, None
+        rate = np.empty((self.f_count, self.draws))
+        self._replay(idx, total, rate)
+        self._idx, self._total, self._rate, self._reach = idx, total, rate, math.inf
 
     def _near_columns(self, f: int, width: float):
         """Draws, denominators, rates and totals of ``f`` over a near set at least ``width`` wide."""
+        self._sync(width)
         if self._near is None or self._near[0] < width:
-            idx = np.flatnonzero(self._total <= self.target_nats + width)
-            self._near = (width, idx, self._total[idx], {})
-        _, idx, total, gathered = self._near
+            pos = np.flatnonzero(self._total <= self.target_nats + width)
+            self._near = (width, pos, self._idx[pos], self._total[pos], {})
+        _, pos, idx, total, gathered = self._near
         if f not in gathered:
             g = self._gamma[f][idx]
             den = np.multiply(g, self._p_e[f])
             den += 1.0
-            gathered[f] = (g, den, self._rate[f][idx])
+            gathered[f] = (g, den, self._rate[f][pos])
         return (*gathered[f], total)
 
     def _check(self, f: int, value: float) -> None:
-        if self._total is None:
+        if self._log is None:
             raise RuntimeError("attach() a working vector first")
         if not 0 <= f < self.f_count:
             raise ValueError(f"resource {f} is outside 0..{self.f_count - 1}")
@@ -331,12 +414,12 @@ class CommonRandomOutage:
     def try_coordinate(self, f: int, value: float) -> OutageEstimate:
         """Estimate with coordinate ``f`` set to ``value`` (not committed)."""
         self._check(f, value)
+        width = _fall_width(self._p_u[f], value, self._p_e[f])
         if value == 0.0:  # the rate at 0 is exactly 0
-            return self._estimate(np.subtract(self._total, self._rate[f], out=self._col))
-        p_f = self._p_u[f]
-        fall = math.log(p_f) - math.log(value) if value < p_f else 0.0
-        g, den, rate, total = self._near_columns(f, fall * (1.0 + _BAND) + _BAND)
-        col = np.multiply(g, value, out=self._col[:len(g)])
+            self._sync(width)
+            return self._estimate(np.subtract(self._total, self._rate[f]))
+        g, den, rate, total = self._near_columns(f, width)
+        col = np.multiply(g, value)
         col /= den
         np.log1p(col, out=col)
         col -= rate
@@ -344,9 +427,12 @@ class CommonRandomOutage:
         return self._estimate(col)
 
     def commit(self, f: int, value: float) -> None:
-        """Adopt the change and drop the near set."""
+        """Adopt the change on the live draws, log it and drop the near set."""
         self._check(f, value)
-        col = _sinr_rate_nats(self._gamma[f], value, self._p_e[f], self._den, out=self._col)
-        self._total += np.subtract(col, self._rate[f], out=self._den)  # the change of each total
+        g = self._gamma[f][self._idx]
+        col = _sinr_rate_nats(g, value, self._p_e[f], den=g)
+        self._total += np.subtract(col, self._rate[f], out=g)  # the change of each total
         self._rate[f] = col
+        self._drift += _fall_width(self._p_u[f], value, self._p_e[f])
+        self._log.append((f, value))
         self._p_u[f], self._near = value, None

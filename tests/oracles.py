@@ -9,7 +9,9 @@ The one-shot outage oracle draws all fading gains as one array and sums
 each draw's rates in one call, with no blocks and no sure-outage shortcut.
 
 The frozen-draw outage oracle keeps no cache at all: every try or commit
-recomputes the whole rate column at both powers.
+recomputes the whole rate column at both powers.  ``every_total`` reads a
+``CommonRandomOutage`` session's current total of every draw, live or not,
+for comparison with the oracle's.
 
 The reference broadband stage (``ref_waterfill``, ``ref_embb_power``,
 ``ref_sic_power``, ``ref_select_urllc_frequencies``) and the reference
@@ -20,6 +22,7 @@ match bit for bit.
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 
@@ -132,6 +135,36 @@ class UncachedCommonRandomOutage:
     def commit(self, f, value):
         self._total += self._delta(f, value)
         self._p_u[f] = value
+
+
+#: per session, the commit log a replay of the draws outside its live set
+#: ran to, its length then, and the replayed totals (NaN for draws then live)
+_REPLAYED = weakref.WeakKeyDictionary()
+
+
+def every_total(crn):
+    """Every draw's current total in a ``CommonRandomOutage`` session, in
+    draw order, leaving the session as it is: the live draws' totals, and
+    the others brought up to date as entering the live set would.
+
+    The replay is redone after each commit or attach only: a try changes
+    no total, and the live set only grows until the next attach."""
+    live = np.zeros(crn.draws, dtype=bool)
+    live[crn._idx] = True
+    assert np.count_nonzero(live) == len(crn._idx), "a draw is live twice"
+    out = np.full(crn.draws, np.nan)
+    if crn._t0 is not None:
+        log, commits, replayed = _REPLAYED.get(crn, (None, None, None))
+        if log is not crn._log or commits != len(crn._log):
+            rest = np.flatnonzero(~live)
+            totals = crn._t0[rest]
+            crn._replay(rest, totals, np.empty((crn.f_count, len(rest))))
+            replayed = np.full(crn.draws, np.nan)
+            replayed[rest] = totals
+            _REPLAYED[crn] = (crn._log, len(crn._log), replayed)
+        out[:] = replayed
+    out[crn._idx] = crn._total
+    return out
 
 
 def ref_waterfill(gains, rate_target):

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from operator import attrgetter
 
 import numpy as np
@@ -219,6 +221,40 @@ class TestResultBookkeeping:
                        seed=4, table=noma_table, bcd=BCD, evidence_trials=10_000)
         assert fea.algorithm == "fea" and fea.iterations == 0
         assert bcd.algorithm == "bcd" and bcd.iterations >= 1
+
+    def test_a_descent_logs_its_counts_at_debug(self, noma_table, caplog, monkeypatch):
+        events = []  # ("try" | "commit", f), in call order
+        for name, event in (("try_coordinate", "try"), ("commit", "commit")):
+            method = getattr(CommonRandomOutage, name)
+
+            def spy(self, f, value, method=method, event=event):
+                events.append((event, f))
+                return method(self, f, value)
+
+            monkeypatch.setattr(CommonRandomOutage, name, spy)
+        with caplog.at_level(logging.DEBUG, logger="slicepower.alloc"):
+            allocate(stage(3), GAMMA_U, "fea", EPS, seed=4, table=noma_table, evidence_trials=10_000)
+            bcd = allocate(stage(3), GAMMA_U, "bcd", EPS,
+                           seed=4, table=noma_table, bcd=BCD, evidence_trials=10_000)
+        [record] = [r for r in caplog.records if r.name == "slicepower.alloc"]
+        assert record.levelno == logging.DEBUG
+        counts = re.fullmatch(r"bcd descent: (\d+) sweeps, (\d+) tries, (\d+) accepted moves, "
+                              r"(\d+) step halvings on CommonRandomOutage\(12 x 30000 draws, "
+                              r"(\d+) live\)", record.getMessage())
+        sweeps, tries, accepted, halvings, live = map(int, counts.groups())
+        # a sweep tries the active resources in increasing order, so a try of
+        # a resource at or below the last one tried starts the next sweep
+        sweep_moves, last = [], math.inf
+        for event, f in events:
+            if event == "try" and f <= last:
+                sweep_moves.append(0)
+            sweep_moves[-1] += event == "commit"
+            last = f if event == "try" else last
+        assert sweeps == bcd.iterations == len(sweep_moves)
+        assert tries == sum(event == "try" for event, _ in events)
+        assert accepted == sum(sweep_moves) > 0
+        assert halvings == sweep_moves.count(0) > 0
+        assert 0 < live < BCD.draws
 
 
 class TestEmbbStage:

@@ -24,10 +24,26 @@ from slicepower.outage import _sinr_rate_nats
 from slicepower.units import snr_db_to_gain
 from slicepower.waterfill import embb_power, sic_power
 
-from oracles import UncachedCommonRandomOutage, one_shot_outage, one_shot_totals
+from oracles import UncachedCommonRandomOutage, every_total, one_shot_outage, one_shot_totals
 
 #: draws spanning three full blocks of the blocked kernels and a partial fourth
 BLOCKS_DRAWS = 3 * 4096 + 5
+
+
+def held_bytes(crn) -> int:
+    """Bytes of the distinct ndarrays an evaluator's attributes hold,
+    also inside tuples, lists and dicts (the near set)."""
+    seen, stack, total = set(), list(vars(crn).values()), 0
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray) and id(value) not in seen:
+            seen.add(id(value))
+            total += value.nbytes
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+    return total
 
 
 class TestMutualInformation:
@@ -354,7 +370,7 @@ class TestCachedColumnsAreBitExact:
 
         def same(a, b):
             assert a.p_hat == b.p_hat
-            assert np.array_equal(new._total, old._total)
+            assert np.array_equal(every_total(new), old._total)
 
         def tried(f, value):
             same(new.try_coordinate(f, value), old.try_coordinate(f, value))
@@ -363,7 +379,7 @@ class TestCachedColumnsAreBitExact:
             new.commit(f, value)
             old.commit(f, value)
             current[f] = value
-            assert np.array_equal(new._total, old._total)
+            assert np.array_equal(every_total(new), old._total)
 
         def sweep(step):
             """Try every coordinate, as one descent sweep does."""
@@ -461,6 +477,10 @@ class TestCachedColumnsAreBitExact:
         assert new_sweeps > 10 and np.any(new_p > floor)
         # and the tries run on near sets of a few percent of the draws
         assert len(log.lengths) > 100 and max(log.lengths) <= draws // 20
+        # the live set stays a small share of the draws, so the evaluator
+        # holds the draws and little more than a few draws-long vectors
+        assert 0 < len(crn._idx) <= draws // 5
+        assert held_bytes(crn) < 8 * draws * (grid.F + 4)
         # a run of deep cuts on one coordinate, from well above the start, with
         # tries of the others at half power and at the floor: each commit drops
         # the near set and the deeper tries rebuild it wider
@@ -474,7 +494,7 @@ class TestCachedColumnsAreBitExact:
                 for trial in (0.5 * high[f], floor[f]):
                     new, old = crn.try_coordinate(f, trial), oracle.try_coordinate(f, trial)
                     assert new.p_hat == old.p_hat
-        assert np.array_equal(crn._total, oracle._total)
+        assert np.array_equal(every_total(crn), oracle._total)
         assert log.builds == builds + 8 and log.widenings >= widenings + 8
 
     def test_band_margin_covers_the_rounding_of_a_fall(self):
@@ -517,6 +537,94 @@ class TestCachedColumnsAreBitExact:
         assert log.lengths == [1, 2] and log.widenings == 1
 
 
+class TestLiveSet:
+    """Commits move the live draws only; the others catch up when a try needs them."""
+
+    def test_commits_touch_only_live_draws(self, monkeypatch):
+        args = (snr_db_to_gain(20.0), 12, 1.0, BLOCKS_DRAWS, 36)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        rng = np.random.default_rng(36)
+        p_u, p_e = rng.uniform(10.0, 30.0, 12), rng.uniform(0.0, 0.5, 12)
+        assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat
+        assert new.try_coordinate(0, 0.9 * p_u[0]).p_hat == old.try_coordinate(0, 0.9 * p_u[0]).p_hat
+        live = len(new._idx)
+        assert 0 < live < BLOCKS_DRAWS // 4
+        shapes, rates = [], outage._sinr_rate_nats
+
+        def spy(gamma, *args, **kwargs):
+            shapes.append(np.shape(gamma))
+            return rates(gamma, *args, **kwargs)
+
+        monkeypatch.setattr(outage, "_sinr_rate_nats", spy)
+        attach_totals = new._t0.copy()
+        for f in range(12):
+            new.commit(f, 0.99 * p_u[f])
+            old.commit(f, 0.99 * p_u[f])
+        # one rate column over the live draws per commit, and no other total moved
+        assert shapes == [(live,)] * 12 and len(new._idx) == live
+        assert np.array_equal(new._t0, attach_totals)
+        assert np.array_equal(every_total(new), old._total)
+
+    def test_a_widening_past_half_the_draws_makes_every_draw_live(self):
+        # about half the draws are in outage at the attach vector, so the first
+        # try's live set would pass half the draws: it takes them all, in place
+        args = (snr_db_to_gain(20.0), 12, 1.0, BLOCKS_DRAWS, 36)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        rng = np.random.default_rng(36)
+        p_u, p_e = rng.uniform(7.0, 21.0, 12), rng.uniform(0.0, 0.5, 12)
+        assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat
+        new.commit(3, 0.9 * p_u[3])
+        old.commit(3, 0.9 * p_u[3])
+        assert len(new._idx) == 0
+        assert new.try_coordinate(0, 0.9 * p_u[0]).p_hat == old.try_coordinate(0, 0.9 * p_u[0]).p_hat
+        assert new._t0 is None and len(new._idx) == BLOCKS_DRAWS
+        assert np.array_equal(every_total(new), old._total)
+
+    def test_a_full_sync_matches_the_oracle_within_todays_memory(self):
+        # without interference a try or commit to 0 has no fall bound: the
+        # first such try makes every draw live, and the session goes on over
+        # all of them with tries, commits to 0 and raises
+        f_count, draws = 6, BLOCKS_DRAWS
+        args = (snr_db_to_gain(20.0), f_count, 1.0, draws, 37)
+        new, old = CommonRandomOutage(*args), UncachedCommonRandomOutage(*args)
+        rng = np.random.default_rng(37)
+        p_u, p_e = rng.uniform(20.0, 60.0, f_count), np.zeros(f_count)
+        current = p_u.copy()
+
+        def tried(f, value):
+            assert new.try_coordinate(f, value).p_hat == old.try_coordinate(f, value).p_hat
+
+        def commit(f, value):
+            new.commit(f, value)
+            old.commit(f, value)
+            current[f] = value
+            assert np.array_equal(every_total(new), old._total)
+
+        assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat
+        for f in range(f_count):
+            tried(f, 0.9 * current[f])
+            commit(f, 0.9 * current[f] if f % 2 else 1.2 * current[f])
+        assert 0 < len(new._idx) < draws
+        tried(2, 0.0)
+        assert new._t0 is None and np.array_equal(new._idx, np.arange(draws))
+        # no more than the eager layout, near set aside: the draws, a rate per
+        # draw and resource, and three draws-long vectors
+        assert held_bytes(new) <= 8 * draws * (2 * f_count + 3)
+        for f in range(f_count):
+            tried(f, 0.5 * current[f])
+            tried(f, 0.0)
+            commit(f, 0.0 if f % 3 == 0 else 1.5 * current[f])
+            tried(f, 2.0)  # a raise from 0
+            tried((f + 1) % f_count, 0.7 * current[(f + 1) % f_count])
+            commit(f, 2.0 if f % 3 == 0 else 0.8 * current[f])
+            assert held_bytes(new) <= 8 * draws * (2 * f_count + 3)
+        # a fresh attach starts from an empty live set again
+        assert new.attach(p_u, p_e).p_hat == old.attach(p_u, p_e).p_hat
+        assert len(new._idx) == 0
+        tried(0, 0.5 * p_u[0])
+        assert 0 < len(new._idx) < draws
+
+
 class TestBandPremise:
     """The near set rests on ``log1p``: a move from ``p`` to ``v`` changes a
     computed rate by at most ``|ln(v/p)|`` plus far less than 1e-6 nats.  A
@@ -540,6 +648,38 @@ class TestBandPremise:
         assert np.all(np.abs(change) <= np.abs(np.log(v / p)) + 1e-6)
         # a raise lowers no rate beyond rounding
         assert np.all(change[v >= p] >= -1e-6)
+
+    def test_a_computed_fall_stays_inside_the_width(self):
+        # the near set and the live set's drift take W = ln((P_e + p)/(P_e + v))
+        # (1 + 1e-6) + 1e-6 for a move from p to v < p; the fall of the rates
+        # as computed in floats must never pass it
+        rng = np.random.default_rng(54)
+        n = 200_000
+        g = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        p = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        v = p * rng.uniform(0.0, 1.0, n)
+        v[rng.random(n) < 0.1] = 0.0
+        kind = rng.integers(4, size=n)
+        p_e = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [0.0, 10.0 ** rng.uniform(-320.0, -200.0, n), 10.0 ** rng.uniform(200.0, 300.0, n)],
+            10.0 ** rng.uniform(-3.0, 3.0, n),
+        )
+        # a quarter with g P_e far beyond 2^53, where g/(1 + g P_e) rounds to 1/P_e
+        saturated = rng.random(n) < 0.25
+        with np.errstate(over="ignore"):
+            g[saturated] = np.minimum(10.0 ** rng.uniform(17.0, 30.0, saturated.sum())
+                                      / np.maximum(p_e[saturated], 1e-300), 1e300)
+            rate_p, rate_v = (_sinr_rate_nats(g, power, p_e, np.empty(n)) for power in (p, v))
+        width = np.array([outage._fall_width(*args) for args in zip(p.tolist(), v.tolist(),
+                                                                     p_e.tolist())])
+        assert np.all(rate_p - rate_v <= width)
+        # the saturated draws reach the bound: it is no looser than it must be
+        close = saturated & (p_e > 0.0) & (v > 0.0) & np.isfinite(width)
+        assert np.any(close & (rate_p - rate_v >= width - 2e-6))
+        # and it is never wider than the plain ln(p/v) width, up to rounding
+        plain = np.log(p / np.where(v > 0.0, v, np.nan)) * (1.0 + 1e-6) + 1e-6
+        assert np.all(width[v > 0.0] <= plain[v > 0.0] + 1e-12)
 
 
 class TestDistributionalProperties:
