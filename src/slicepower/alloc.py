@@ -70,14 +70,13 @@ class BcdOptions:
     The step halves after any sweep that changes nothing and the loop
     stops at ``tau``, or sooner once the step is float noise on the powers.
     A move is accepted only when the frozen-draw estimate plus its
-    confidence half-width stays at or below the outage target, so the
-    final point is feasible with margin rather than by luck.
+    3-sigma half-width stays at or below the outage target, so the final
+    point is feasible with margin rather than by luck.
     """
 
     mu0_fraction: float = 0.1
     tau: float = 1e-7
     draws: int = 10**6
-    use_margin: bool = True
 
     def __post_init__(self):
         for name in ("mu0_fraction", "tau"):  # the first step and the stop
@@ -182,8 +181,7 @@ def descend_urllc_power(
         for f in list(active):
             candidate = max(floor[f], p[f] - mu)
             est = crn.try_coordinate(f, candidate)
-            margin = est.ci_halfwidth if options.use_margin else 0.0
-            if est.p_hat + margin <= epsilon_u:
+            if est.p_hat + est.ci_halfwidth <= epsilon_u:
                 crn.commit(f, candidate)
                 p[f] = candidate
                 accepted += 1

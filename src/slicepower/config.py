@@ -158,7 +158,7 @@ def _parse_value(name: str, raw: str, kind):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"boolean field {name!r} got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if kind is int:
         value = float(raw)  # a non-integral value is left for the config to reject
         return int(value) if value.is_integer() else value
@@ -197,7 +197,10 @@ def load_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
                 key, raw = (part.strip() for part in line.split("=", 1))
                 if key not in kinds:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _parse_value(key, raw, kinds[key])
+                try:
+                    values[key] = _parse_value(key, raw, kinds[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ScenarioConfig(**{**values, **(overrides or {})})
 
 

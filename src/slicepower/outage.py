@@ -132,46 +132,15 @@ def _fading_blocks(seed: int, label: str, draws: int, f_count: int, gamma_u_mean
 
 
 def _row_totals(cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each draw's total rate ``sum_f cols[f]``, into ``out``, by whole-column adds.
+    """Each draw's total rate ``cols[0] + cols[1] + ...``, added in resource
+    order, into ``out``.
 
     ``cols`` holds one row of rates per resource, so a draw-major block
-    passes its transpose.  The adds follow numpy's pairwise summation of
-    one draw, so the bits equal ``sum(axis=1)`` over the draw-major block
-    (``tests/test_outage_properties.py`` checks this):
-
-    - fewer than 8 values add in order;
-    - up to 128, 8 running sums take every 8th value, add as
-      ``((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))``, and the last ``F mod 8``
-      values follow in order;
-    - a longer row adds its two halves, split at a multiple of 8.
-
-    numpy's reduction starts at 0.0, which only turns a -0.0 total into +0.0.
-    One call makes ``F - 1`` adds over ``len(out)`` draws where
-    ``sum(axis=1)`` runs one short inner loop per draw.
+    passes its transpose; the bits are the same in either layout.
     """
-    f_count = len(cols)
-    if f_count > 128:
-        half = f_count // 2 - f_count // 2 % 8
-        _row_totals(cols[:half], out)
-        out += _row_totals(cols[half:], np.empty_like(out))
-    elif f_count < 8:
-        np.add(cols[0], cols[1] if f_count > 1 else 0.0, out=out)
-        for col in cols[2:]:
-            out += col
-    else:
-        tail = f_count - f_count % 8
-        sums = list(cols[:8])
-        for start in range(8, tail, 8):
-            sums = [np.add(s, col) for s, col in zip(sums, cols[start:start + 8])]
-        np.add(sums[0], sums[1], out=out)
-        left, right = np.add(sums[2], sums[3]), np.add(sums[6], sums[7])
-        out += left
-        np.add(sums[4], sums[5], out=left)
-        left += right
-        out += left
-        for col in cols[tail:]:
-            out += col
-    out += 0.0
+    np.copyto(out, cols[0])
+    for col in cols[1:]:
+        out += col
     return out
 
 

@@ -145,7 +145,13 @@ def build_table(
         default_interference_axis_dbm() if axis_pe_dbm is None else np.asarray(axis_pe_dbm, float)
     )
     target_nats = _target_nats(gamma_u, trials, f_count, r_u)
-    values = np.ones((axis_pe.size, axis_pu.size))  # what a sure outage reads under any seed
+    # the table checks its axes before any cell runs; the cells fill its
+    # values in place, which start at what a sure outage reads under any seed
+    table = OutageTable(
+        axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count, r_u=r_u,
+        m_u=m_u, values=np.ones((axis_pe.size, axis_pu.size)), trials=trials, seed=seed,
+    )
+    values = table.values
     sampled = np.zeros(values.shape, dtype=bool)
 
     def fill(i: int, j: int) -> None:
@@ -160,10 +166,7 @@ def build_table(
     count = int(sampled.sum())
     log.info("built outage table: %d cells, %d sure outages, %d sampled, %d threads, %.2f s",
              values.size, values.size - count, count, threads, time.perf_counter() - start)
-    return OutageTable(
-        axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe, gamma_u=gamma_u, f_count=f_count,
-        r_u=r_u, m_u=m_u, values=values, trials=trials, seed=seed,
-    )
+    return table
 
 
 def interference_row(axis_pe_dbm: np.ndarray, p_e_query_mw: float) -> int:

@@ -7,6 +7,8 @@ than the closed form would be found.
 
 The one-shot outage oracle draws all fading gains as one array and sums
 each draw's rates in one call, with no blocks and no sure-outage shortcut.
+Every oracle total is ``in_order_sum``: the rates added in resource order,
+the order ``src/`` adds them in.
 
 The frozen-draw outage oracle keeps no cache at all: every try or commit
 recomputes the whole rate column at both powers.  ``every_total`` reads a
@@ -83,12 +85,18 @@ def rate_nats(gamma, p_u, p_e):
     return np.log1p(num / den)
 
 
+def in_order_sum(values):
+    """Each row of ``values`` added left to right, starting from its first
+    entry (no 0.0 start, so a one-entry ``-0.0`` row stays ``-0.0``)."""
+    return np.cumsum(values, axis=1)[:, -1]
+
+
 def one_shot_totals(p_u, p_e, gamma_u_mean, trials, seed):
     """Oracle: each draw's summed rate, from one ``(trials, F_u)`` draw of
     the ``"outage"`` stream."""
     p_u, p_e = np.asarray(p_u, float), np.asarray(p_e, float)
     gamma = gamma_u_mean * substream(seed, "outage").standard_exponential((trials, p_u.size))
-    return rate_nats(gamma, p_u, p_e).sum(axis=1)
+    return in_order_sum(rate_nats(gamma, p_u, p_e))
 
 
 def one_shot_outage(p_u, p_e, gamma_u_mean, r_u, trials, seed):
@@ -117,12 +125,12 @@ class UncachedCommonRandomOutage:
     def estimate(self, p_u, p_e):
         p_u = np.broadcast_to(np.asarray(p_u, float), (self.f_count,))
         p_e = np.broadcast_to(np.asarray(p_e, float), (self.f_count,))
-        return self._estimate(rate_nats(self.gamma, p_u, p_e).sum(axis=1))
+        return self._estimate(in_order_sum(rate_nats(self.gamma, p_u, p_e)))
 
     def attach(self, p_u, p_e):
         self._p_u = np.array(np.broadcast_to(np.asarray(p_u, float), (self.f_count,)))
         self._p_e = np.array(np.broadcast_to(np.asarray(p_e, float), (self.f_count,)))
-        self._total = rate_nats(self.gamma, self._p_u, self._p_e).sum(axis=1)
+        self._total = in_order_sum(rate_nats(self.gamma, self._p_u, self._p_e))
         return self._estimate(self._total)
 
     def _delta(self, f, value):

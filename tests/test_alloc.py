@@ -163,26 +163,21 @@ class TestDescentAllocator:
         assert sweeps <= 100
 
     def test_single_frequency_converges_to_closed_form(self):
-        # margin off so the stop point tracks the exact quantile rather
-        # than the deliberately conservative default
-        r_u, gamma = 6.0, GAMMA_U
-        closed = single_freq_power(r_u, gamma, EPS, p_e_f=0.0)
-        crn = CommonRandomOutage(gamma, 1, r_u, draws=200_000, seed=52)
+        # a move needs p_hat + 3 sqrt(p_hat (1 - p_hat) / n) <= EPS, so the
+        # stop point tracks the closed form at the eps' that solves
+        # eps' + 3 sqrt(eps' (1 - eps') / n) = EPS, the lower root of
+        # (1 + k) x^2 - (2 EPS + k) x + EPS^2 = 0 with k = 9 / n
+        r_u, gamma, n = 6.0, GAMMA_U, 200_000
+        k = 9.0 / n
+        b = 2.0 * EPS + k
+        eps_inner = (b - math.sqrt(b * b - 4.0 * (1.0 + k) * EPS**2)) / (2.0 * (1.0 + k))
+        assert eps_inner + 3.0 * math.sqrt(eps_inner * (1.0 - eps_inner) / n) == pytest.approx(EPS)
+        closed = single_freq_power(r_u, gamma, eps_inner, p_e_f=0.0)
+        crn = CommonRandomOutage(gamma, 1, r_u, draws=n, seed=52)
         start = np.array([4.0 * closed])
         out, _ = descend_urllc_power(start, np.zeros(1), np.zeros(1), crn, EPS,
-                                     BcdOptions(draws=200_000, use_margin=False))
+                                     BcdOptions(draws=n))
         assert out[0] == pytest.approx(closed, rel=0.08)
-
-    def test_margin_makes_descent_conservative(self):
-        r_u, gamma = 6.0, GAMMA_U
-        crn = CommonRandomOutage(gamma, 1, r_u, draws=50_000, seed=53)
-        start = np.array([4.0 * single_freq_power(r_u, gamma, EPS, 0.0)])
-        loose, _ = descend_urllc_power(start.copy(), np.zeros(1), np.zeros(1), crn, EPS,
-                                       BcdOptions(draws=50_000, use_margin=False))
-        crn2 = CommonRandomOutage(gamma, 1, r_u, draws=50_000, seed=53)
-        tight, _ = descend_urllc_power(start.copy(), np.zeros(1), np.zeros(1), crn2, EPS,
-                                       BcdOptions(draws=50_000, use_margin=True))
-        assert tight[0] >= loose[0]
 
 
 class TestValidation:

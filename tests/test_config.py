@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 
 import pytest
 
@@ -76,6 +77,16 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("drops 10\n")
         with pytest.raises(ValueError, match="key = value"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line, bad", [
+        ("drops = abc", "'abc'"), ("d_u = 50, x", "'x'"), ("auto_build_tables = maybe", "'maybe'"),
+    ])
+    def test_unparsable_value_names_file_line_and_key(self, tmp_path, line, bad):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# a comment\nseed = 3\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {key}: .*{bad}"):
             load_config(path)
 
     def test_bad_scheme_rejected(self, tmp_path):

@@ -24,7 +24,9 @@ from slicepower.outage import _sinr_rate_nats
 from slicepower.units import snr_db_to_gain
 from slicepower.waterfill import embb_power, sic_power
 
-from oracles import UncachedCommonRandomOutage, every_total, one_shot_outage, one_shot_totals
+from oracles import (
+    UncachedCommonRandomOutage, every_total, in_order_sum, one_shot_outage, one_shot_totals,
+)
 
 #: draws spanning three full blocks of the blocked kernels and a partial fourth
 BLOCKS_DRAWS = 3 * 4096 + 5
@@ -185,12 +187,17 @@ class TestBlockedKernelMatchesOneShot:
 
 class TestRowTotals:
     @pytest.mark.parametrize("f_count", [64, 128, 129, 136, 300])
-    def test_wide_rows_equal_numpy_sum(self, f_count):
-        # past 128 values numpy sums the two halves of a row separately
+    def test_wide_rows_equal_in_order_sum(self, f_count):
+        # wide rows too add in resource order, with no split of long rows
         rng = np.random.default_rng(f_count)
         values = rng.exponential(size=(300, f_count)) * 10.0 ** rng.uniform(-8, 8, (300, f_count))
         got = outage._row_totals(values.T, np.empty(300))
-        assert got.tobytes() == values.sum(axis=1).tobytes()
+        assert got.tobytes() == in_order_sum(values).tobytes()
+
+    def test_one_negative_zero_rate_stays_negative(self):
+        # the adds start from the first rate, not from 0.0
+        got = outage._row_totals(np.array([[-0.0, 1.0]]), np.empty(2))
+        assert got.tobytes() == np.array([-0.0, 1.0]).tobytes()
 
 
 class TestSingleFrequencyPower:

@@ -432,6 +432,25 @@ class TestValidation:
                         gamma_u=1.0, f_count=4, r_u=0.5, m_u=1, values=table.values,
                         trials=10, seed=0)
 
+    @pytest.mark.parametrize("axis_pu, axis_pe", [
+        (np.arange(20.0)[::-1], None),
+        ([], None),
+        (None, []),
+        ([0.0, math.nan, 2.0], None),
+        (None, [-math.inf, math.nan, 10.0]),
+    ])
+    def test_build_checks_its_axes_before_any_cell(self, monkeypatch, axis_pu, axis_pe):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return estimate_outage(*args)
+
+        monkeypatch.setattr(table_module, "estimate_outage", spy)
+        with pytest.raises(ValueError, match="table axes"):
+            build_table(1.0, 12, 1.0, trials=200, seed=1, axis_pu_dbm=axis_pu, axis_pe_dbm=axis_pe)
+        assert calls == []
+
     def test_power_axis_must_be_finite(self):
         with pytest.raises(ValueError):
             OutageTable(axis_pu_dbm=np.array([-math.inf, 0.0]), axis_pe_dbm=np.array([0.0]),
